@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench.harness import host_info
 from repro.collectives import selector_for, team_reduce_step
 from repro.collectives.comm import get_team_comm
 from repro.collectives.select import REDUCE_ALGORITHMS
@@ -284,6 +285,7 @@ def main(argv=None) -> int:
         "generated_by": "python -m repro.bench.collectives",
         "engine": "event",
         "machine": MACHINE,
+        "host": host_info(),
         "sweep": records,
         "skipped": skipped,
     }

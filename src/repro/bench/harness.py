@@ -6,6 +6,7 @@
   configurations the paper's figures compare.
 * :class:`BenchFigure` — a collected figure: labeled series over a
   common x-axis, renderable as the table a figure's plot encodes.
+* :func:`host_info` — cores / Python / numpy stamp for wall-clock rows.
 * Pair-placement helpers for the "N pairs across two nodes" layout the
   microbenchmarks use (members of a pair are always on different
   nodes, paper Section III).
@@ -13,8 +14,12 @@
 
 from __future__ import annotations
 
+import os
+import platform
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.util.tables import Series, render_figure
 
@@ -102,6 +107,16 @@ class BenchFigure:
 # Pair placement (paper Section III: members of a pair are always on
 # two different nodes; 1 or 16 pairs across two compute nodes)
 # ---------------------------------------------------------------------------
+
+
+def host_info() -> dict[str, Any]:
+    """The host behind a wall-clock row (such rows compare only within
+    one host/interpreter/numpy combination)."""
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def pair_world_size(pairs: int, cores_per_node: int = 16) -> int:

@@ -17,11 +17,17 @@ digests — is bit-identical on any program both engines can run.
 
 Blocking semantics:
 
-* **barrier** — arrivers park in a per-(barrier, generation) list; the
-  releasing arrival departs itself, then departs and reschedules every
-  parked PE at the common release time (ties broken by PE rank).
-* **value wait** — parked waiters are re-polled after every dispatched
-  event (only dispatched events can change memory).
+* **barrier** — arrivers park in a per-barrier list (a barrier has one
+  open generation at a time); the releasing arrival departs itself,
+  then departs and reschedules every parked PE at the common release
+  time (ties broken by PE rank).
+* **value wait** — a PE parks only on its own memory, one slot per PE.
+  The engine's memories swap the condition variable for a
+  :class:`_NotifySink`: every mutation path ends in ``notify_all()``,
+  which here lists the owning PE as *dirty* if it is parked, and after
+  each event only dirty PEs are re-polled — a wait costs the same
+  however many PEs exist.  No lock is needed: all PEs share one OS
+  thread and a slice never yields inside a memory operation.
 * **failure** — a raising PE is recorded and the job aborts; already
   parked PEs whose barrier never releases are dropped exactly as a
   blocked thread observing the abort flag would be, and the engine
@@ -45,6 +51,7 @@ from repro.engine.base import Engine, EngineError, WouldBlock
 from repro.engine.steps import BarrierStep, DelayStep, Done, Step, WaitStep
 from repro.runtime.context import PEContext, set_current
 from repro.runtime.failures import raise_image_failed
+from repro.runtime.memory import PEMemory
 from repro.sim.faults import InjectedCrash
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -55,42 +62,70 @@ class EventDeadlock(EngineError):
     """Every runnable PE is parked and no release can ever come."""
 
 
-class _Parked:
-    """A PE parked at a barrier (waiting for its generation's release)."""
+class _NotifySink:
+    """A PE memory's condition variable on one OS thread: nothing can
+    interleave with a ``with mem._cond:`` block, so enter/exit do
+    nothing, and ``notify_all()`` lists the owning PE as dirty (to be
+    re-polled after the current event) if it is parked on a value."""
 
-    __slots__ = ("pe", "ctx", "layer", "t_start", "cont", "barrier")
+    __slots__ = ("pe", "waiting", "dirty")
 
-    def __init__(self, pe, ctx, layer, t_start, cont, barrier) -> None:
+    def __init__(self, pe: int, waiting: list, dirty: list) -> None:
         self.pe = pe
-        self.ctx = ctx
-        self.layer = layer
-        self.t_start = t_start
-        self.cont = cont
-        self.barrier = barrier
+        self.waiting = waiting
+        self.dirty = dirty
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def notify_all(self) -> None:
+        if self.waiting[self.pe] is not None:
+            self.dirty.append(self.pe)
+
+
+class _EventPEMemory(PEMemory):
+    """A :class:`PEMemory` whose lock/notify hook is a :class:`_NotifySink`."""
+
+    def __init__(self, nbytes: int, sink: _NotifySink) -> None:
+        self._sink = sink  # read by the _make_cond hook in the base __init__
+        super().__init__(nbytes)
+
+    def _make_cond(self):
+        return self._sink
 
 
 class _Waiter:
-    """A PE parked on a local-value predicate (WaitStep).
+    """A PE parked on a local-value predicate (its :class:`WaitStep`).
 
-    ``word_offset`` is ``None`` for memory-global time merges, or the
-    element offset whose per-word atomic timestamp to merge instead
-    (``WaitStep(word=True)``).  ``target`` is the remote PE whose write
-    is awaited (when known; -1 otherwise) — survivable jobs fail the
-    wait with ``ImageFailedError`` if that PE dies.
+    ``step.target`` is the remote PE whose write is awaited (when
+    known; -1 otherwise) — survivable jobs fail the wait with
+    ``ImageFailedError`` if that PE dies.
     """
 
-    __slots__ = ("pe", "ctx", "mem", "predicate", "cont", "word_offset",
-                 "target")
+    __slots__ = ("ctx", "mem", "predicate", "elem_offset", "step")
 
-    def __init__(self, pe, ctx, mem, predicate, cont, word_offset,
-                 target=-1) -> None:
-        self.pe = pe
+    def __init__(self, ctx, mem, predicate, elem_offset, step) -> None:
         self.ctx = ctx
         self.mem = mem
         self.predicate = predicate
-        self.cont = cont
-        self.word_offset = word_offset
-        self.target = target
+        self.elem_offset = elem_offset
+        self.step = step
+
+    def merge_write_time(self) -> None:
+        """The merge a woken thread performs in ``wait_until``."""
+        if self.step.word:
+            self.ctx.clock.merge(self.mem.word_time(self.elem_offset))
+        else:
+            self.ctx.clock.merge(self.mem.last_write_time)
+
+    def describe(self) -> str:
+        step = self.step
+        target = f", target={step.target}" if step.target >= 0 else ""
+        return (f"wait_until(offset={self.elem_offset}, "
+                f"{step.cmp} {step.value!r}{target})")
 
 
 def _make_wait_failure(w: _Waiter, dead: int, job):
@@ -103,11 +138,8 @@ def _make_wait_failure(w: _Waiter, dead: int, job):
 
     def thunk():
         if w.predicate():
-            if w.word_offset is None:
-                w.ctx.clock.merge(w.mem.last_write_time)
-            else:
-                w.ctx.clock.merge(w.mem.word_time(w.word_offset))
-            return w.cont()
+            w.merge_write_time()
+            return w.step.cont()
         raise_image_failed(w.ctx, "wait", dead, job.failed, job.tracer)
 
     return thunk
@@ -119,6 +151,20 @@ class EventEngine(Engine):
     name = "event"
     eager_delivery = True
     max_pes = 16384
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Counters of the last :meth:`run` (see docs/API.md).
+        self.stats: dict[str, int] = {}
+
+    def make_memories(self, num_pes: int, heap_bytes: int) -> list:
+        # Waiter slot per PE, and PEs written to while parked.
+        self._waiting: list = [None] * num_pes
+        self._dirty: list[int] = []
+        return [
+            _EventPEMemory(heap_bytes, _NotifySink(pe, self._waiting, self._dirty))
+            for pe in range(num_pes)
+        ]
 
     # -- schedule hooks -------------------------------------------------
     def decision(self, ctx, op: str, target: int) -> None:
@@ -156,150 +202,156 @@ class EventEngine(Engine):
         failures: list[tuple[int, BaseException]] = []
         ctxs = [PEContext(job, pe) for pe in range(n)]
         heap: list[tuple[float, int]] = [(0.0, pe) for pe in range(n)]
-        pending: dict[int, object] = {
-            pe: (lambda _pe=pe: fn(*args, **kwargs)) for pe in range(n)
-        }
-        parked: dict[tuple[int, int], list[_Parked]] = {}
-        waiters: list[_Waiter] = []
+        push, pop = heapq.heappush, heapq.heappop
+        # Slots indexed by PE: the thunk its heap entry runs, its waiter.
+        pending: list = [lambda: fn(*args, **kwargs)] * n
+        waiting, dirty = self._waiting, self._dirty
+        waiting[:] = [None] * n
+        dirty.clear()
+        parked: dict = {}  # barrier -> arrivers of its open generation
+        pops = parks = repolls = wakes = notified = max_parked = 0
 
-        def schedule(pe: int, thunk, t: float) -> None:
-            pending[pe] = thunk
-            heapq.heappush(heap, (t, pe))
-
-        def check_waiters() -> None:
-            if not waiters:
-                return
-            still: list[_Waiter] = []
-            for w in waiters:
-                if w.predicate():
-                    # Same merge a woken thread performs in wait_until.
-                    if w.word_offset is None:
-                        w.ctx.clock.merge(w.mem.last_write_time)
-                    else:
-                        w.ctx.clock.merge(w.mem.word_time(w.word_offset))
-                    schedule(w.pe, w.cont, w.ctx.clock.now)
-                else:
-                    still.append(w)
-            waiters[:] = still
-
-        def dispatch(pe: int, ctx, step) -> None:
-            """Route one step result; non-steps are final values."""
-            while True:
-                if not isinstance(step, Step):
-                    results[pe] = step
-                    return
-                cls = type(step)
-                if cls is Done:
-                    results[pe] = step.value
-                    return
-                if cls is BarrierStep:
-                    layer = step.layer
-                    bar = step.barrier
-                    if bar is None:
-                        bar = layer.job.barrier
-                    t_start, gen, released = layer._barrier_arrive(
-                        ctx, step.barrier, step.npes
-                    )
-                    if not released:
-                        parked.setdefault((bar.sync_id, gen), []).append(
-                            _Parked(pe, ctx, layer, t_start, step.cont, bar)
-                        )
-                        return
-                    layer._barrier_depart(ctx, t_start, gen, bar)
-                    schedule(pe, step.cont, ctx.clock.now)
-                    for p in parked.pop((bar.sync_id, gen), ()):
-                        set_current(p.ctx)
-                        p.layer._barrier_depart(p.ctx, p.t_start, gen, p.barrier)
-                        schedule(p.pe, p.cont, p.ctx.clock.now)
-                    set_current(ctx)
-                    return
-                if cls is WaitStep:
-                    mem, predicate, elem_offset = step.layer._wait_probe(
-                        step.ivar, step.cmp, step.value, step.offset
-                    )
-                    if predicate():
-                        if step.word:
-                            ctx.clock.merge(mem.word_time(elem_offset))
-                        else:
-                            ctx.clock.merge(mem.last_write_time)
-                        step = step.cont()  # continue in this slice
-                        continue
-                    if (
-                        step.target >= 0
-                        and job.survivable
-                        and job.failed.is_failed(step.target)
-                    ):
-                        raise_image_failed(
-                            ctx, "wait", step.target, job.failed, job.tracer
-                        )
-                    waiters.append(_Waiter(
-                        pe, ctx, mem, predicate, step.cont,
-                        elem_offset if step.word else None,
-                        step.target,
-                    ))
-                    return
-                if cls is DelayStep:
-                    ctx.clock.advance(step.delay_us)
-                    schedule(pe, step.cont, ctx.clock.now)
-                    return
-                raise TypeError(f"unknown step type {cls.__name__}")
+        def release(bar, gen: int) -> None:
+            """Depart and reschedule everyone parked on ``bar``."""
+            nonlocal max_parked
+            plist = parked.pop(bar, ())
+            if len(plist) > max_parked:
+                max_parked = len(plist)
+            for p_pe, p_ctx, p_layer, p_t_start, p_cont in plist:
+                set_current(p_ctx)
+                p_layer._barrier_depart(p_ctx, p_t_start, gen, bar)
+                pending[p_pe] = p_cont
+                push(heap, (p_ctx.clock.now, p_pe))
 
         try:
             while heap:
-                _, pe = heapq.heappop(heap)
-                thunk = pending.pop(pe)
+                _, pe = pop(heap)
+                pops += 1
                 ctx = ctxs[pe]
                 set_current(ctx)
                 try:
-                    # dispatch stays inside the guard: steps run layer
-                    # code (barrier jitter, wait probes, continuations)
-                    # that can fail exactly like the body itself.
-                    dispatch(pe, ctx, thunk())
+                    # Step routing stays inside the guard: steps run
+                    # layer code (barrier jitter, wait probes,
+                    # continuations) that can fail like the body itself.
+                    step = pending[pe]()
+                    while True:
+                        cls = type(step)
+                        if cls is BarrierStep:
+                            layer = step.layer
+                            bar = step.barrier
+                            if bar is None:
+                                bar = layer.job.barrier
+                            t_start, gen, released = layer._barrier_arrive(
+                                ctx, step.barrier, step.npes
+                            )
+                            if released:
+                                layer._barrier_depart(ctx, t_start, gen, bar)
+                                pending[pe] = step.cont
+                                push(heap, (ctx.clock.now, pe))
+                                release(bar, gen)
+                            else:
+                                plist = parked.get(bar)
+                                if plist is None:
+                                    plist = parked[bar] = []
+                                plist.append(
+                                    (pe, ctx, layer, t_start, step.cont)
+                                )
+                        elif cls is WaitStep:
+                            mem, predicate, elem_offset = step.layer._wait_probe(
+                                step.ivar, step.cmp, step.value, step.offset
+                            )
+                            if predicate():
+                                if step.word:
+                                    ctx.clock.merge(mem.word_time(elem_offset))
+                                else:
+                                    ctx.clock.merge(mem.last_write_time)
+                                step = step.cont()  # continue in this slice
+                                continue
+                            if (
+                                step.target >= 0
+                                and job.survivable
+                                and job.failed.is_failed(step.target)
+                            ):
+                                raise_image_failed(
+                                    ctx, "wait", step.target, job.failed,
+                                    job.tracer,
+                                )
+                            waiting[pe] = _Waiter(
+                                ctx, mem, predicate, elem_offset, step
+                            )
+                            parks += 1
+                        elif cls is DelayStep:
+                            ctx.clock.advance(step.delay_us)
+                            pending[pe] = step.cont
+                            push(heap, (ctx.clock.now, pe))
+                        elif cls is Done:
+                            results[pe] = step.value
+                        elif isinstance(step, Step):
+                            raise TypeError(f"unknown step type {cls.__name__}")
+                        else:
+                            results[pe] = step  # non-steps are final values
+                        break
                 except JobAborted:
                     continue  # secondary failure; root cause recorded
                 except BaseException as exc:  # noqa: BLE001 - collect all
-                    if job.survivable and isinstance(exc, InjectedCrash):
-                        # Survivable mode: registry mark + barrier
-                        # excision; an excision that released a barrier
-                        # episode departs its parked survivors, and
-                        # waiters on the dead PE fail with a structured
-                        # ImageFailedError instead of deadlocking.
-                        released = self.on_pe_failed(ctx, exc)
-                        for bar, gen in released:
-                            for p in parked.pop((bar.sync_id, gen), ()):
-                                set_current(p.ctx)
-                                p.layer._barrier_depart(
-                                    p.ctx, p.t_start, gen, p.barrier
-                                )
-                                schedule(p.pe, p.cont, p.ctx.clock.now)
-                        set_current(ctx)
-                        still: list[_Waiter] = []
-                        for w in waiters:
-                            if w.target == pe:
-                                schedule(
-                                    w.pe,
-                                    _make_wait_failure(w, pe, job),
-                                    w.ctx.clock.now,
-                                )
-                            else:
-                                still.append(w)
-                        waiters[:] = still
-                        check_waiters()
+                    if not (job.survivable and isinstance(exc, InjectedCrash)):
+                        failures.append((pe, exc))
+                        job.abort()
                         continue
-                    failures.append((pe, exc))
-                    job.abort()
-                    continue
-                check_waiters()
+                    # Survivable mode: registry mark + barrier excision;
+                    # an excision that released a barrier episode
+                    # departs its parked survivors, and waiters on the
+                    # dead PE fail with a structured ImageFailedError
+                    # instead of deadlocking.
+                    for bar, gen in self.on_pe_failed(ctx, exc):
+                        release(bar, gen)
+                    for w_pe, w in enumerate(waiting):
+                        if w is not None and w.step.target == pe:
+                            waiting[w_pe] = None
+                            pending[w_pe] = _make_wait_failure(w, pe, job)
+                            push(heap, (w.ctx.clock.now, w_pe))
+                if dirty:
+                    # Re-poll only the parked PEs this event wrote to
+                    # (any wake order: the heap key is (t, pe)).
+                    notified += len(dirty)
+                    for w_pe in dirty:
+                        w = waiting[w_pe]
+                        if w is None:
+                            continue  # woken by an earlier write of this event
+                        repolls += 1
+                        if w.predicate():
+                            waiting[w_pe] = None
+                            wakes += 1
+                            w.merge_write_time()
+                            pending[w_pe] = w.step.cont
+                            push(heap, (w.ctx.clock.now, w_pe))
+                    dirty.clear()
         finally:
             set_current(None)
+            # Every push is popped (the loop drains the heap) and a PE
+            # holds at most one entry, so pushes and depth are derived.
+            self.stats = {
+                "heap_pops": pops, "heap_pushes": pops - n, "heap_max": n,
+                "parks": parks, "polls": parks + repolls, "wakes": wakes,
+                "dirty": notified,
+                "max_parked": max([max_parked, *map(len, parked.values())]),
+            }
 
-        stuck = [p for plist in parked.values() for p in plist] + list(waiters)
+        stuck = {
+            p[0]: f"barrier(sync_id={bar.sync_id}, gen={bar.generation})"
+            for bar, plist in parked.items() for p in plist
+        }
+        stuck.update(
+            (w.ctx.pe, w.describe()) for w in waiting if w is not None
+        )
         if stuck and not job.aborted():
-            pes = sorted(p.pe for p in stuck)
-            raise EventDeadlock(
-                f"event heap drained with PE(s) {pes} still parked and no "
-                f"failure recorded: a barrier or wait can never be released"
-            )
+            lines = [
+                f"event heap drained with PE(s) {sorted(stuck)} still parked "
+                f"and no failure recorded: a barrier or wait can never be "
+                f"released"
+            ]
+            lines += [f"  PE {pe} blocked in {stuck[pe]}" for pe in sorted(stuck)]
+            raise EventDeadlock("\n".join(lines))
         if failures:
             failure = JobFailure(failures)
             raise failure from failure.failures[0][1]
