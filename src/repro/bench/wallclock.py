@@ -1,30 +1,20 @@
-"""Wall-clock benchmarks of the batched + vectorized RMA engine.
+"""Wall-clock comparison of the threaded and process engines.
 
-Every case runs the same workload three ways — the full fast path (the
-default), the plain batched engine (``REPRO_NO_VECTOR=1``), and the
-per-call oracle (``REPRO_NO_BATCH=1``) — and reports host wall-clock
-seconds for each (best of ``--repeats`` runs, to damp scheduler and
-allocator noise), the speedups, and whether all runs produced identical
-virtual times and stats counters (they must: both fast paths are
-required to be bit-identical in simulated time).
+Each case runs one workload on the default threaded engine and on
+``engine="process"`` (true parallelism across forked PEs) and reports
+host wall-clock seconds for both (best of ``--repeats`` runs, to damp
+scheduler and allocator noise), their ratio, and whether both engines
+produced identical virtual times and stats counters (they must).
 
-Cases, per the paper's own motivating example (Section IV-C) and the
-Figs 8/9 synchronization benchmarks:
+* ``naive-procs`` — the paper's Section IV-C section
+  ``A(1:100:2, 1:80:2, 1:100:4)`` under the ``naive`` policy, assigned
+  by every image to its ring neighbour.
+* ``himeno-procs`` — a small Himeno run (halo-exchange cadence).
 
-* ``naive-50x40x25`` — the 3-D section ``A(1:100:2, 1:80:2, 1:100:4)``
-  under the ``naive`` strided policy: 50 x 40 x 25 = 50,000 logical RMA
-  calls for one assignment, the workload the batched path exists for.
-* ``2dim-sweep`` — the Figs 6/7 2-D strided put over several strides
-  with the ``2dim`` translation (few calls, each a strided line).
-* ``himeno-quick`` — a small Himeno run (halo-exchange cadence).
-* ``locks`` — the Fig 8 lock microbenchmark (contended acquires; the
-  remote-atomic path).
-* ``dht`` — the Fig 9 distributed-hash-table update loop (atomics +
-  fine-grained puts/gets under bucket locks).
-
-``python -m repro.bench.wallclock`` writes ``BENCH_wallclock.json``;
-``--min-speedup X`` makes the CLI fail when any case's batched-vs-oracle
-speedup lands below ``X``.
+``python -m repro.bench.wallclock`` writes the ``cases`` section of
+``BENCH_wallclock.json``.  Host cost of the data plane itself is
+measured by the repo benchmark (``benchmarks/perf``: ``section_put``,
+``himeno``, ``lock_dht``), not here.
 """
 
 from __future__ import annotations
@@ -40,15 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import caf
-from repro.bench import microbench
-from repro.bench.dht import dht_benchmark
 from repro.bench.harness import (
     CafConfig,
-    UHCAF_CRAY_SHMEM,
     UHCAF_CRAY_SHMEM_2DIM,
     UHCAF_CRAY_SHMEM_NAIVE,
-    pair_partner,
-    pair_world_size,
 )
 from repro.bench.himeno import himeno_caf
 from repro.runtime.context import current
@@ -56,88 +41,28 @@ from repro.runtime.context import current
 
 @dataclass
 class WallclockCase:
-    """One workload, timed on the fast path and against both oracles.
+    """One workload, timed on the threaded engine and on
+    ``engine="process"``.
 
-    ``speedup`` is fast path vs the per-call oracle (``REPRO_NO_BATCH``);
-    ``vector_speedup`` is fast path vs the plain batched engine
-    (``REPRO_NO_VECTOR``) — the before/after of the vectorized data
-    plane alone.
-
-    The ``procs_*`` fields are filled by the ``*-procs`` cases, which
-    time the threaded engine against ``engine="process"`` instead of
-    the batching escape hatches: ``batched_s`` then holds the threaded
-    time, ``procs_s`` the process-engine time, ``procs_speedup`` their
-    ratio (> 1 means the process engine wins — expect that only on
-    multi-core hosts; see ``host_cores`` in the JSON), and
-    ``procs_identical`` whether both engines produced bit-identical
-    virtual times and stats.  ``unbatched_s`` stays 0 for these cases,
-    which exempts them from ``--min-speedup``.
+    ``procs_speedup`` is ``threaded_s / procs_s`` (> 1 means the
+    process engine wins — expect that only on multi-core hosts; see
+    ``host_cores`` in the JSON); ``procs_identical`` whether both
+    engines produced bit-identical virtual times and stats.
     """
 
     name: str
     description: str
-    batched_s: float
-    unbatched_s: float
-    speedup: float
+    threaded_s: float
+    procs_s: float
+    procs_speedup: float
     virtual_identical: bool
     stats_identical: bool
-    novector_s: float = 0.0
-    vector_speedup: float = 0.0
-    procs_s: float = 0.0
-    procs_speedup: float = 0.0
-    procs_identical: bool = True
+    procs_identical: bool
 
 
-#: Wall-clock repeats per mode; the minimum is reported (scheduler and
+#: Wall-clock repeats per engine; the minimum is reported (scheduler and
 #: allocator noise only ever adds time).
 DEFAULT_REPEATS = 3
-
-_FLAGS = ("REPRO_NO_BATCH", "REPRO_NO_VECTOR")
-
-
-def _timed(fn, *, no_batch: bool, no_vector: bool = False, repeats: int = 1):
-    """Run ``fn`` with the escape hatches forced on/off; returns
-    ``(best seconds, result)`` over ``repeats`` runs."""
-    saved = {f: os.environ.pop(f, None) for f in _FLAGS}
-    try:
-        if no_batch:
-            os.environ["REPRO_NO_BATCH"] = "1"
-        if no_vector:
-            os.environ["REPRO_NO_VECTOR"] = "1"
-        best = float("inf")
-        result = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-    finally:
-        for f in _FLAGS:
-            os.environ.pop(f, None)
-            if saved[f] is not None:
-                os.environ[f] = saved[f]
-
-
-def _case(name, description, fn, *, virtual_eq, stats_eq,
-          repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    # One untimed pass first: the batched mode is measured first, and
-    # without this it alone pays import, worker-pool spawn, and numpy
-    # first-touch costs — which read as a phantom vector-path slowdown.
-    _timed(fn, no_batch=False, repeats=1)
-    batched_s, batched = _timed(fn, no_batch=False, repeats=repeats)
-    novector_s, novector = _timed(fn, no_batch=False, no_vector=True, repeats=repeats)
-    unbatched_s, oracle = _timed(fn, no_batch=True, repeats=repeats)
-    return WallclockCase(
-        name=name,
-        description=description,
-        batched_s=round(batched_s, 4),
-        unbatched_s=round(unbatched_s, 4),
-        speedup=round(unbatched_s / batched_s, 2) if batched_s > 0 else float("inf"),
-        virtual_identical=virtual_eq(batched, oracle) and virtual_eq(batched, novector),
-        stats_identical=stats_eq(batched, oracle) and stats_eq(batched, novector),
-        novector_s=round(novector_s, 4),
-        vector_speedup=round(novector_s / batched_s, 2) if batched_s > 0 else float("inf"),
-    )
 
 
 def _procs_case(name, description, fn_engine, *,
@@ -146,9 +71,7 @@ def _procs_case(name, description, fn_engine, *,
 
     Both engines get one untimed warmup pass (imports, worker-pool
     spawn / fork machinery, numpy first-touch), then best-of-repeats
-    timings.  The bit-identity comparison rides the existing
-    ``virtual_identical``/``stats_identical`` gate, so a divergence
-    fails the CLI the same way a broken batching invariant does.
+    timings.  A virtual-time or stats divergence fails the CLI.
     """
     def best_of(engine):
         fn_engine(engine)  # warmup
@@ -167,219 +90,17 @@ def _procs_case(name, description, fn_engine, *,
     return WallclockCase(
         name=name,
         description=description,
-        batched_s=round(threaded_s, 4),
-        unbatched_s=0.0,
-        speedup=0.0,
-        virtual_identical=same_virtual,
-        stats_identical=same_stats,
+        threaded_s=round(threaded_s, 4),
         procs_s=round(procs_s, 4),
         procs_speedup=round(threaded_s / procs_s, 2) if procs_s > 0 else float("inf"),
+        virtual_identical=same_virtual,
+        stats_identical=same_stats,
         procs_identical=same_virtual and same_stats,
     )
 
 
 # ---------------------------------------------------------------------------
-# Case 1: the Section IV-C naive 50x40x25 section assignment
-# ---------------------------------------------------------------------------
-
-
-def _section_put_fingerprints(
-    shape: tuple[int, ...],
-    key: tuple[slice, ...],
-    config: CafConfig,
-    machine: str = "stampede",
-    dtype=np.float32,
-    iters: int = 1,
-):
-    """One inter-node pair; image 1 assigns ``a[key]`` on its partner
-    ``iters`` times (as a figure sweep would).
-
-    Returns per-image ``(clock_now, stats, checksum)`` fingerprints.
-    """
-    num_pes = pair_world_size(1)
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    heap = max(1 << 22, 2 * nbytes + (1 << 18))
-
-    def kernel():
-        ctx = current()
-        a = caf.coarray(shape, dtype)
-        a[...] = 0
-        caf.sync_all()
-        partner = pair_partner(ctx.pe, 1)
-        if partner is not None:
-            for _ in range(iters):
-                a.on(partner + 1)[key] = 7
-        caf.sync_all()
-        from repro.caf.runtime import current_runtime
-
-        stats = {
-            k: v
-            for k, v in current_runtime().my_stats.items()
-            if not k.startswith("plan_cache")
-        }
-        return ctx.clock.now, stats, float(a.local.sum())
-
-    return caf.launch(kernel, num_pes, machine, heap_bytes=heap, **config.launch_kwargs())
-
-
-def naive_section_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    """The paper's 50,000-call example (scaled down when ``quick``).
-
-    Both sizes run 10 assignments so the measurement is dominated by the
-    data plane, not by spawning the 17 PE threads.
-    """
-    if quick:
-        shape, key, calls = (20, 16, 20), np.s_[0:20:2, 0:16:2, 0:20:4], 10 * 8 * 5
-    else:
-        shape, key, calls = (100, 80, 100), np.s_[0:100:2, 0:80:2, 0:100:4], 50 * 40 * 25
-    iters = 10
-    counts = "x".join(str(len(range(*s.indices(d)))) for s, d in zip(key, shape))
-    fn = lambda: _section_put_fingerprints(shape, key, UHCAF_CRAY_SHMEM_NAIVE, iters=iters)
-    return _case(
-        f"naive-{counts}",
-        f"3-D section {counts} under the naive policy: {calls} logical puts "
-        f"per assignment x {iters} assignments (paper Section IV-C)",
-        fn,
-        virtual_eq=lambda a, b: all(x[0] == y[0] for x, y in zip(a, b)),
-        stats_eq=lambda a, b: all(x[1] == y[1] and x[2] == y[2] for x, y in zip(a, b)),
-        repeats=repeats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case 2: the Figs 6/7 2-D strided sweep under the 2dim translation
-# ---------------------------------------------------------------------------
-
-
-def strided_2dim_sweep_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    strides = (2, 16) if quick else (2, 16, 128)
-    rows, cols = (32, 128) if quick else (128, 1024)
-    iters = 2 if quick else 5
-
-    def fn():
-        return [
-            microbench.caf_strided_put_bandwidth(
-                "stampede", UHCAF_CRAY_SHMEM_2DIM, s, iters=iters, rows=rows, cols=cols
-            )
-            for s in strides
-        ]
-
-    return _case(
-        "2dim-sweep",
-        f"2-D strided puts (rows={rows}, cols={cols}) over strides {strides} "
-        "with the 2dim translation (Figs 6/7)",
-        fn,
-        virtual_eq=lambda a, b: a == b,  # bandwidths derive from virtual time
-        stats_eq=lambda a, b: True,
-        repeats=repeats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case 3: a quick Himeno run
-# ---------------------------------------------------------------------------
-
-
-def himeno_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    grid = (17, 17, 17) if quick else (33, 33, 65)
-    iters = 2 if quick else 4
-
-    def fn():
-        return himeno_caf(
-            machine="stampede",
-            config=UHCAF_CRAY_SHMEM_2DIM,
-            num_images=4,
-            grid=grid,
-            iterations=iters,
-        )
-
-    return _case(
-        "himeno-quick",
-        f"Himeno {grid[0]}x{grid[1]}x{grid[2]}, 4 images, {iters} iterations "
-        "(halo-exchange cadence)",
-        fn,
-        virtual_eq=lambda a, b: a.elapsed_us == b.elapsed_us and a.gosa == b.gosa,
-        stats_eq=lambda a, b: a.mflops == b.mflops,
-        repeats=repeats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case 4: the Fig 8 lock microbenchmark (remote-atomic path)
-# ---------------------------------------------------------------------------
-
-
-def locks_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    """Contended-lock wall-clock cost (Fig 8 shape).
-
-    Every image does identical work on the one shared lock, so the max
-    elapsed virtual time is invariant under the (scheduler-dependent)
-    MCS queue order — safe to compare bitwise across engines.
-    """
-    images = 4 if quick else 8
-    acquires = 64 if quick else 128
-
-    def fn():
-        return microbench.lock_contention_time(
-            "stampede", UHCAF_CRAY_SHMEM, images, acquires=acquires
-        )
-
-    return _case(
-        "locks",
-        f"MCS lock contention, {images} images x {acquires} acquires "
-        "(Fig 8 shape); scalar atomics only, no vectorizable transfers, "
-        "so vector_speedup is a noise-floor indicator (~1.0)",
-        fn,
-        virtual_eq=lambda a, b: a == b,  # elapsed virtual microseconds
-        stats_eq=lambda a, b: True,
-        repeats=repeats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case 5: the Fig 9 DHT insert/update loop
-# ---------------------------------------------------------------------------
-
-
-def dht_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCase:
-    """DHT update-loop wall-clock cost (Fig 9 shape).
-
-    Runs in ``single_writer`` mode — same lock/atomic/probe code path
-    against a table spread over all images, but one image issues every
-    timed operation in program order, so elapsed virtual time is
-    independent of thread scheduling and can be compared bitwise
-    across engines (concurrent random updates resolve contention in
-    wall-clock arrival order, which differs run to run).
-    """
-    images = 4 if quick else 8
-    updates = 192 if quick else 512
-    # Size the table for a <=0.5 load factor: with the default 64
-    # slots/image, the full case's 512 updates equal the table's total
-    # capacity and some image's bucket must overflow (DhtFullError).
-    slots = 128
-
-    def fn():
-        return dht_benchmark(
-            "stampede", UHCAF_CRAY_SHMEM, images,
-            updates_per_image=updates, slots_per_image=slots,
-            single_writer=True,
-        )
-
-    return _case(
-        "dht",
-        f"DHT, {images} images, {updates} single-writer random "
-        "inserts/updates (Fig 9 shape); scalar puts/atomics only, no "
-        "vectorizable transfers, so vector_speedup is a noise-floor "
-        "indicator (~1.0)",
-        fn,
-        virtual_eq=lambda a, b: a == b,  # elapsed virtual microseconds
-        stats_eq=lambda a, b: True,
-        repeats=repeats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cases 6/7: threaded vs engine="process" (the ``procs`` column)
+# The cases: threaded vs engine="process" at 8 PEs
 # ---------------------------------------------------------------------------
 
 
@@ -481,11 +202,6 @@ def himeno_procs_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> Wa
 # ---------------------------------------------------------------------------
 
 CASES = {
-    "naive": naive_section_case,
-    "2dim": strided_2dim_sweep_case,
-    "himeno": himeno_case,
-    "locks": locks_case,
-    "dht": dht_case,
     "naive-procs": naive_procs_case,
     "himeno-procs": himeno_procs_case,
 }
@@ -510,29 +226,24 @@ def write_json(results: list[WallclockCase], path: str | Path) -> Path:
     doc.update(
         benchmark="wallclock",
         generated_by="python -m repro.bench.wallclock",
-        # Wall-clock context for the procs column: the process engine
-        # cannot beat threaded on a single-core host, and the CI gate
-        # only makes sense where cores exist.
+        # The process engine cannot beat threaded on a single-core host,
+        # and the CI gate only makes sense where cores exist.
         host_cores=os.cpu_count(),
         cases=[asdict(c) for c in results],
     )
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=1) + "\n")
     return path
 
 
 def render(results: list[WallclockCase]) -> str:
     lines = [
-        f"{'case':<18} {'fast (s)':>10} {'novector (s)':>13} {'unbatched (s)':>14} "
-        f"{'speedup':>8} {'vs novec':>9} {'procs (s)':>10} {'procs':>7}  invariant"
+        f"{'case':<18} {'threaded (s)':>13} {'procs (s)':>10} {'procs':>7}  invariant"
     ]
     for c in results:
         ok = "yes" if (c.virtual_identical and c.stats_identical) else "NO"
-        procs_s = f"{c.procs_s:>10.4f}" if c.procs_s else f"{'-':>10}"
-        procs_x = f"{c.procs_speedup:>6.2f}x" if c.procs_s else f"{'-':>7}"
         lines.append(
-            f"{c.name:<18} {c.batched_s:>10.4f} {c.novector_s:>13.4f} "
-            f"{c.unbatched_s:>14.4f} {c.speedup:>7.2f}x {c.vector_speedup:>8.2f}x "
-            f"{procs_s} {procs_x}  {ok}"
+            f"{c.name:<18} {c.threaded_s:>13.4f} {c.procs_s:>10.4f} "
+            f"{c.procs_speedup:>6.2f}x  {ok}"
         )
     return "\n".join(lines)
 
@@ -540,10 +251,7 @@ def render(results: list[WallclockCase]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.wallclock",
-        description=(
-            "Wall-clock timings of the vectorized RMA engine vs "
-            "REPRO_NO_VECTOR=1 and REPRO_NO_BATCH=1."
-        ),
+        description="Wall-clock timings of the threaded engine vs engine='process'.",
     )
     parser.add_argument("--quick", action="store_true", help="CI-sized workloads")
     parser.add_argument(
@@ -554,17 +262,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=DEFAULT_REPEATS,
-        help="wall-clock repeats per mode (minimum is reported)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) if any batching case's speedup is below X",
+        help="wall-clock repeats per engine (minimum is reported)",
     )
     parser.add_argument(
         "--min-procs-speedup", type=float, default=None, metavar="X",
         help=(
-            "fail (exit 1) if any *-procs case's threaded-vs-process "
-            "speedup is below X (only meaningful on multi-core hosts)"
+            "fail (exit 1) if any case's threaded-vs-process speedup is "
+            "below X (only meaningful on multi-core hosts)"
         ),
     )
     args = parser.parse_args(argv)
@@ -576,24 +280,8 @@ def main(argv=None) -> int:
     if bad:
         print(f"ERROR: virtual-time invariance broken in: {bad}", file=sys.stderr)
         return 1
-    if args.min_speedup is not None:
-        # The *-procs cases don't run the per-call oracle (unbatched_s
-        # stays 0); they are gated by --min-procs-speedup instead.
-        slow = [
-            c.name for c in results
-            if c.unbatched_s > 0 and c.speedup < args.min_speedup
-        ]
-        if slow:
-            print(
-                f"ERROR: speedup below {args.min_speedup} in: {slow}",
-                file=sys.stderr,
-            )
-            return 1
     if args.min_procs_speedup is not None:
-        slow = [
-            c.name for c in results
-            if c.procs_s > 0 and c.procs_speedup < args.min_procs_speedup
-        ]
+        slow = [c.name for c in results if c.procs_speedup < args.min_procs_speedup]
         if slow:
             print(
                 f"ERROR: procs speedup below {args.min_procs_speedup} in: "

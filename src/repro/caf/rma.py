@@ -6,19 +6,18 @@ become ``shmem_iput``/``shmem_iget``.  Payload marshalling keeps line
 chunks aligned with plan order by moving the base dimension last (plans
 enumerate lines in C order over the remaining dimensions).
 
-Execution normally goes through the layer's **batched fast path**
+A plan executes as one batch
 (:meth:`~repro.comm.base.OneSidedLayer.execute_plan_put` /
 ``execute_plan_get``): one aggregate network pricing, one scatter/gather
 through a precomputed index array, one tracer record.  Virtual
-timestamps and all stats are bit-identical to the per-call loop, which
-is kept both as the ``REPRO_NO_BATCH=1`` escape hatch (set the
-environment variable to force the sequential path) and as the oracle
-the invariance tests compare against.
+timestamps and all stats are bit-identical to issuing the plan's calls
+one by one; that per-call loop lives in ``tests/caf/oracle.py`` as the
+reference the invariance suite compares against.
 
 ``stats`` is a :class:`collections.Counter` the runtime passes in; it
 records the number of *logical* underlying calls — the quantity the
 paper's 50 x 40 x 25 example counts — and is what the strided
-benchmarks and tests assert on, batched or not.
+benchmarks and tests assert on.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from collections import Counter
 import numpy as np
 
 from repro.caf.strided import DimSel, TransferPlan
-from repro.comm.base import BatchSpec, OneSidedLayer, batching_enabled
+from repro.comm.base import BatchSpec, OneSidedLayer
 from repro.comm.heap import SymmetricArray
 
 __all__ = [
     "BatchSpec",
-    "batching_enabled",
     "build_spec",
     "execute_get",
     "execute_put",
@@ -84,12 +82,15 @@ def _sel_shape(sels: list[DimSel]) -> tuple[int, ...]:
     return tuple(s.count for s in sels)
 
 
-def _count_put_stats(plan: TransferPlan, nelems: int, stats: Counter) -> None:
-    if plan.lines:
-        stats["iput_calls"] += len(plan.lines)
-    else:
-        stats["putmem_calls"] += len(plan.runs)
-    stats["put_elems"] += nelems
+def _single_line(layer: OneSidedLayer, plan: TransferPlan) -> bool:
+    """Single-call plans skip the batch machinery entirely: one line is
+    exactly one iput/iget (one run one put/get), with bit-identical
+    pricing, stats, and trace.  Non-native single lines only qualify
+    when they hold a single element (otherwise the batch path's
+    aggregate pricing is the faster shape)."""
+    return len(plan.lines) == 1 and (
+        layer.profile.iput_native or plan.lines[0].count == 1
+    )
 
 
 def execute_put(
@@ -114,51 +115,24 @@ def execute_put(
         flat = np.ascontiguousarray(moved).reshape(-1)
     else:
         flat = payload.reshape(-1)
-    if batching_enabled():
-        # Single-call plans skip the batch machinery entirely: one line
-        # is exactly one iput (one run one put), with bit-identical
-        # pricing, stats, and trace — and no index-array construction.
-        # Non-native single lines only qualify when they hold a single
-        # element (otherwise the batch path's aggregate put pricing is
-        # the faster shape).
-        if plan.lines and len(plan.lines) == 1 and (
-            layer.profile.iput_native or plan.lines[0].count == 1
-        ):
-            line = plan.lines[0]
-            layer.iput(
-                handle, flat, tst=line.stride, sst=1,
-                nelems=line.count, pe=pe, offset=line.offset,
-            )
-            _count_put_stats(plan, int(payload.size), stats)
-            return
-        if not plan.lines and len(plan.runs) == 1:
-            layer.put(handle, flat, pe, offset=plan.runs[0].offset)
-            _count_put_stats(plan, int(payload.size), stats)
-            return
+    if _single_line(layer, plan):
+        line = plan.lines[0]
+        layer.iput(
+            handle, flat, tst=line.stride, sst=1,
+            nelems=line.count, pe=pe, offset=line.offset,
+        )
+    elif not plan.lines and len(plan.runs) == 1:
+        layer.put(handle, flat, pe, offset=plan.runs[0].offset)
+    else:
         if spec is None:
             spec = build_spec(plan, handle.itemsize)
         if spec is not None:
             layer.execute_plan_put(handle, flat, pe, spec)
-        _count_put_stats(plan, int(payload.size), stats)
-        return
-    pos = 0
     if plan.lines:
-        for line in plan.lines:
-            layer.iput(
-                handle,
-                flat[pos : pos + line.count],
-                tst=line.stride,
-                sst=1,
-                nelems=line.count,
-                pe=pe,
-                offset=line.offset,
-            )
-            pos += line.count
+        stats["iput_calls"] += len(plan.lines)
     else:
-        for run in plan.runs:
-            layer.put(handle, flat[pos : pos + run.length], pe, offset=run.offset)
-            pos += run.length
-    _count_put_stats(plan, int(payload.size), stats)
+        stats["putmem_calls"] += len(plan.runs)
+    stats["put_elems"] += int(payload.size)
 
 
 def execute_get(
@@ -173,60 +147,29 @@ def execute_get(
     """Read the selection from ``pe`` under ``plan``; returns an array
     shaped like the (unsqueezed) selection."""
     shape = _sel_shape(sels)
-    use_batch = batching_enabled()
-    if use_batch:
-        # Mirror execute_put's single-call short-circuit (same
-        # bit-identity argument, no index-array construction).
-        if plan.lines and len(plan.lines) == 1 and (
-            layer.profile.iput_native or plan.lines[0].count == 1
-        ):
-            line = plan.lines[0]
-            base = plan.base_dim
-            moved_shape = tuple(
-                c for d, c in enumerate(shape) if d != base
-            ) + (shape[base],)
-            gathered = layer.iget(
-                handle, tst=1, sst=line.stride, nelems=line.count,
-                pe=pe, offset=line.offset,
-            ).reshape(moved_shape)
-            stats["iget_calls"] += 1
-            result = np.ascontiguousarray(np.moveaxis(gathered, -1, base))
-            stats["get_elems"] += int(result.size)
-            return result
-        if not plan.lines and len(plan.runs) == 1:
-            run = plan.runs[0]
-            result = layer.get(handle, run.length, pe, offset=run.offset).reshape(shape)
-            stats["getmem_calls"] += 1
-            stats["get_elems"] += int(result.size)
-            return result
-    if use_batch and spec is None:
-        spec = build_spec(plan, handle.itemsize)
+    if _single_line(layer, plan):
+        line = plan.lines[0]
+        flat = layer.iget(
+            handle, tst=1, sst=line.stride, nelems=line.count, pe=pe, offset=line.offset
+        )
+    elif not plan.lines and len(plan.runs) == 1:
+        run = plan.runs[0]
+        flat = layer.get(handle, run.length, pe, offset=run.offset)
+    else:
+        if spec is None:
+            spec = build_spec(plan, handle.itemsize)
+        if spec is None:  # empty selection: nothing moves
+            flat = np.empty(0, dtype=handle.dtype)
+        else:
+            flat = layer.execute_plan_get(handle, pe, spec)
     if plan.lines:
+        # Lines enumerate the base dimension last; move it back.
         base = plan.base_dim
         moved_shape = tuple(c for d, c in enumerate(shape) if d != base) + (shape[base],)
-        if use_batch and spec is not None:
-            gathered = layer.execute_plan_get(handle, pe, spec).reshape(moved_shape)
-        else:
-            gathered = np.empty(moved_shape, dtype=handle.dtype)
-            flat = gathered.reshape(-1)
-            pos = 0
-            for line in plan.lines:
-                flat[pos : pos + line.count] = layer.iget(
-                    handle, tst=1, sst=line.stride, nelems=line.count, pe=pe, offset=line.offset
-                )
-                pos += line.count
+        result = np.ascontiguousarray(np.moveaxis(flat.reshape(moved_shape), -1, base))
         stats["iget_calls"] += len(plan.lines)
-        result = np.ascontiguousarray(np.moveaxis(gathered, -1, base))
     else:
-        if use_batch and spec is not None:
-            result = layer.execute_plan_get(handle, pe, spec).reshape(shape)
-        else:
-            result = np.empty(shape, dtype=handle.dtype)
-            flat = result.reshape(-1)
-            pos = 0
-            for run in plan.runs:
-                flat[pos : pos + run.length] = layer.get(handle, run.length, pe, offset=run.offset)
-                pos += run.length
+        result = flat.reshape(shape)
         stats["getmem_calls"] += len(plan.runs)
     stats["get_elems"] += int(result.size)
     return result

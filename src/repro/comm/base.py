@@ -23,7 +23,6 @@ observable through :meth:`quiet` (or a barrier, which includes one).
 from __future__ import annotations
 
 import operator as _operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,7 @@ from repro.runtime.context import current
 from repro.runtime.launcher import Job
 from repro.comm.constants import comparator
 from repro.sim.netmodel import ConduitProfile, get_conduit
-from repro.trace.events import (
-    contiguous_footprint,
-    offsets_footprint,
-    strided_footprint,
-)
+from repro.trace.events import contiguous_footprint
 
 #: How the initiator learns an attempt failed, per operation family:
 #: put-like operations observe the NACK at remote completion, get-like
@@ -49,42 +44,8 @@ def _fail_at_done(done: float) -> float:
     return done
 
 
-def batching_enabled() -> bool:
-    """The batched fast path is on unless ``REPRO_NO_BATCH`` is set."""
-    return not os.environ.get("REPRO_NO_BATCH")
-
-
-def vector_enabled() -> bool:
-    """The vectorized data plane (index-array scatter/gather, memoized
-    pricers, lazy trace footprints) is on unless ``REPRO_NO_VECTOR`` is
-    set.  ``REPRO_NO_VECTOR=1`` falls back to the plain batched engine —
-    same virtual times, stats, and bytes; only more Python work — which
-    isolates this fast path for debugging and benchmarking.
-
-    Both flags are read once per job at layer construction.
-    """
-    return not os.environ.get("REPRO_NO_VECTOR")
-
-
-#: Plans moving fewer total elements than this skip the vectorized
-#: index-compilation path (``BatchSpec.vector_index`` + fancy-indexed
-#: scatter/gather) and take the plain ``write_at``/``read_at`` route
-#: instead: below the threshold, building/validating index arrays costs
-#: more wall clock than it saves.  Pricing stays memoized either way
-#: and both data paths are bit-identical by contract, so the switch
-#: affects wall clock only.  Override with ``REPRO_VECTOR_MIN_ELEMS``.
-DEFAULT_VECTOR_MIN_ELEMS = 512
-
-
-def vector_min_elems() -> int:
-    raw = os.environ.get("REPRO_VECTOR_MIN_ELEMS")
-    if raw is None or raw == "":
-        return DEFAULT_VECTOR_MIN_ELEMS
-    return int(raw)
-
-
-#: Element sizes the vectorized plane can move via a reinterpret-cast
-#: view (uint8 plus :attr:`PEMemory._VIEW_DTYPES`); other sizes scatter
+#: Element sizes the data plane can move via a reinterpret-cast view
+#: (uint8 plus :attr:`PEMemory._VIEW_DTYPES`); other sizes scatter
 #: through a byte-expanded index.
 _VIEWABLE_SIZES = frozenset((1, 2, 4, 8))
 
@@ -114,8 +75,8 @@ class BatchSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("runs", "lines"):
             raise ValueError(f"unknown batch kind {self.kind!r}")
-        # Lazy per-spec caches for the vectorized plane (plain attributes
-        # on a frozen non-slots dataclass; set via object.__setattr__).
+        # Lazy per-spec index caches (plain attributes on a frozen
+        # non-slots dataclass; set via object.__setattr__).
         # Races under the GIL are benign: readers validate the memo's
         # base offset and a lost race rebuilds an identical array.
         object.__setattr__(self, "_abs_memo", None)
@@ -186,14 +147,6 @@ class OneSidedLayer:
             profile = get_conduit(profile)
         self.job = job
         self.profile = profile
-        # Escape hatches, sampled once per job (the wallclock bench and
-        # the invariance tests toggle them between launches, never
-        # mid-job): REPRO_NO_BATCH=1 forces the per-call oracle path,
-        # REPRO_NO_VECTOR=1 keeps batching but disables the vectorized
-        # data plane (memoized pricers, cached index arrays, lazy trace
-        # footprints).
-        self.batching = batching_enabled()
-        self.vectorized = self.batching and vector_enabled()
         # Flat front-side memo over the network's pricers, keyed by
         # small int tuples (op tag, src PE, dst PE, sizes).  The
         # network's own memo keys include the conduit profile, whose
@@ -221,10 +174,6 @@ class OneSidedLayer:
         # point is a single ``is not None`` test and the clean-abort
         # baseline stays byte-for-byte.
         self._failed = job.failed if getattr(job, "survivable", False) else None
-        # Wall-clock threshold for the vectorized index path (plans
-        # moving fewer elements take the plain route; virtual times are
-        # unaffected — see :func:`vector_min_elems`).
-        self.vector_min_elems = vector_min_elems() if self.vectorized else 0
 
     # ------------------------------------------------------------------
     # Registered-segment ("symmetric") memory
@@ -296,6 +245,13 @@ class OneSidedLayer:
 
             raise_image_failed(ctx, op, pe, registry, self.job.tracer)
 
+    def _remember(self, key: tuple, pricer):
+        """Store a freshly built pricer in the front memo."""
+        if len(self._pricers) > 65536:  # unbounded-growth backstop
+            self._pricers.clear()
+        self._pricers[key] = pricer
+        return pricer
+
     def _coerce(
         self, array: SymmetricArray, value, nelems: int | None = None
     ) -> np.ndarray:
@@ -331,17 +287,13 @@ class OneSidedLayer:
                 return self.job.network.put_uncontended(
                     ctx.pe, pe, _n, self.profile, now
                 )
-        elif self.vectorized:
+        else:
             key = ("p", ctx.pe, pe, data.nbytes)
             price = self._pricers.get(key)
             if price is None:
-                if len(self._pricers) > 65536:  # unbounded-growth backstop
-                    self._pricers.clear()
-                price = self.job.network.put_pricer(ctx.pe, pe, data.nbytes, self.profile)
-                self._pricers[key] = price
-        else:
-            def price(now, _n=data.nbytes):
-                return self.job.network.put(ctx.pe, pe, _n, self.profile, now)
+                price = self._remember(
+                    key, self.job.network.put_pricer(ctx.pe, pe, data.nbytes, self.profile)
+                )
         timing = self._priced(ctx, self, "put", pe, price, _FAIL_AT_REMOTE)
         if self._eager:
             self.job.memories[pe].write(
@@ -390,17 +342,13 @@ class OneSidedLayer:
                 return self.job.network.get_uncontended(
                     ctx.pe, pe, _n, self.profile, now
                 )
-        elif self.vectorized:
+        else:
             key = ("g", ctx.pe, pe, nbytes)
             price = self._pricers.get(key)
             if price is None:
-                if len(self._pricers) > 65536:
-                    self._pricers.clear()
-                price = self.job.network.get_pricer(ctx.pe, pe, nbytes, self.profile)
-                self._pricers[key] = price
-        else:
-            def price(now, _n=nbytes):
-                return self.job.network.get(ctx.pe, pe, _n, self.profile, now)
+                price = self._remember(
+                    key, self.job.network.get_pricer(ctx.pe, pe, nbytes, self.profile)
+                )
         done = self._priced(ctx, self, "get", pe, price, _fail_at_done)
         raw = self.job.memories[pe].read(src.element_offset(offset), nbytes)
         ctx.clock.merge(done)
@@ -457,23 +405,12 @@ class OneSidedLayer:
         t_start = ctx.clock.now
         itemsize = dest.itemsize
         if self.profile.iput_native:
-            if self.vectorized:
-                key = ("ip", ctx.pe, pe, nelems, itemsize, tst)
-                price = self._pricers.get(key)
-                if price is None:
-                    if len(self._pricers) > 65536:
-                        self._pricers.clear()
-                    price = self.job.network.iput_pricer(
-                        ctx.pe, pe, nelems, itemsize, self.profile,
-                        stride_bytes=tst * itemsize,
-                    )
-                    self._pricers[key] = price
-            else:
-                def price(now, _nelems=nelems, _stride=tst * itemsize):
-                    return self.job.network.iput(
-                        ctx.pe, pe, _nelems, itemsize, self.profile, now,
-                        stride_bytes=_stride,
-                    )
+            key = ("ip", ctx.pe, pe, nelems, itemsize, tst)
+            price = self._pricers.get(key)
+            if price is None:
+                price = self._remember(key, self.job.network.iput_pricer(
+                    ctx.pe, pe, nelems, itemsize, self.profile, stride_bytes=tst * itemsize
+                ))
             timing = self._priced(ctx, self, "iput", pe, price, _FAIL_AT_REMOTE)
             if self._eager:
                 self.job.memories[pe].write_strided(
@@ -501,13 +438,11 @@ class OneSidedLayer:
             tracer = self.job.tracer
             if tracer is not None:
                 addr = dest.element_offset(offset)
-                if not tracer.capture_sync:
-                    fp = ()
-                elif self.vectorized:
-                    # Deferred: materialized by the tracer on first read.
-                    fp = ("@str", addr, tst * itemsize, itemsize, nelems)
-                else:
-                    fp = strided_footprint(addr, tst * itemsize, itemsize, nelems)
+                # Deferred: materialized by the tracer on first read.
+                fp = (
+                    ("@str", addr, tst * itemsize, itemsize, nelems)
+                    if tracer.capture_sync else ()
+                )
                 tracer.record(
                     ctx.pe, "iput", pe, nelems * itemsize, t_start, ctx.clock.now,
                     addr=addr, footprint=fp,
@@ -536,23 +471,12 @@ class OneSidedLayer:
         t_start = ctx.clock.now
         itemsize = src.itemsize
         if self.profile.iput_native:
-            if self.vectorized:
-                key = ("ig", ctx.pe, pe, nelems, itemsize, sst)
-                price = self._pricers.get(key)
-                if price is None:
-                    if len(self._pricers) > 65536:
-                        self._pricers.clear()
-                    price = self.job.network.iget_pricer(
-                        ctx.pe, pe, nelems, itemsize, self.profile,
-                        stride_bytes=sst * itemsize,
-                    )
-                    self._pricers[key] = price
-            else:
-                def price(now, _nelems=nelems, _stride=sst * itemsize):
-                    return self.job.network.iget(
-                        ctx.pe, pe, _nelems, itemsize, self.profile, now,
-                        stride_bytes=_stride,
-                    )
+            key = ("ig", ctx.pe, pe, nelems, itemsize, sst)
+            price = self._pricers.get(key)
+            if price is None:
+                price = self._remember(key, self.job.network.iget_pricer(
+                    ctx.pe, pe, nelems, itemsize, self.profile, stride_bytes=sst * itemsize
+                ))
             done = self._priced(ctx, self, "iget", pe, price, _fail_at_done)
             raw = self.job.memories[pe].read_strided(
                 src.element_offset(offset), sst * itemsize, itemsize, nelems
@@ -561,12 +485,10 @@ class OneSidedLayer:
             tracer = self.job.tracer
             if tracer is not None:
                 addr = src.element_offset(offset)
-                if not tracer.capture_sync:
-                    fp = ()
-                elif self.vectorized:
-                    fp = ("@str", addr, sst * itemsize, itemsize, nelems)
-                else:
-                    fp = strided_footprint(addr, sst * itemsize, itemsize, nelems)
+                fp = (
+                    ("@str", addr, sst * itemsize, itemsize, nelems)
+                    if tracer.capture_sync else ()
+                )
                 tracer.record(
                     ctx.pe, "iget", pe, nelems * itemsize, t_start, ctx.clock.now,
                     addr=addr, footprint=fp,
@@ -580,91 +502,41 @@ class OneSidedLayer:
     # ------------------------------------------------------------------
     # Batched plan execution
     # ------------------------------------------------------------------
-    def _plan_price(self, direction: str, spec: BatchSpec, itemsize: int, pe: int):
-        """Aggregate pricing for a whole plan; returns (price, op, calls)
-        with ``price(now)`` pricing one attempt of the whole batch.
-
-        The network batch methods (and the memoized batch pricers on
-        the vectorized plane) replay the exact per-call float
-        arithmetic, so timing is bit-identical to the sequential loop.
-        Non-native line plans degenerate to one put/get per *element*,
-        just like :meth:`iput` does.
-        """
-        ctx_pe = current().pe
-        if self.vectorized:
-            return self._plan_pricer(direction, spec, itemsize, ctx_pe, pe)
-        net = self.job.network
-        if spec.kind == "lines" and self.profile.iput_native:
-            batch = net.iput_batch if direction == "put" else net.iget_batch
-
-            def price(now, _batch=batch):
-                return _batch(
-                    ctx_pe, pe, spec.nelems_per_call, itemsize, spec.ncalls,
-                    self.profile, now, stride_bytes=spec.stride * itemsize,
-                )
-
-            return price, ("iput" if direction == "put" else "iget"), spec.ncalls
-        batch = net.put_batch if direction == "put" else net.get_batch
-        if spec.kind == "lines":
-
-            def price(now, _batch=batch):
-                return _batch(ctx_pe, pe, itemsize, spec.total_elems, self.profile, now)
-
-            return price, ("put" if direction == "put" else "get"), spec.total_elems
-
-        def price(now, _batch=batch):
-            return _batch(
-                ctx_pe, pe, spec.nelems_per_call * itemsize, spec.ncalls,
-                self.profile, now,
-            )
-
-        return price, ("put" if direction == "put" else "get"), spec.ncalls
-
     def _plan_pricer(self, direction: str, spec: BatchSpec, itemsize: int,
                      src: int, dst: int):
-        """Memoized pricer for a whole plan; returns (pricer, op, calls).
+        """Memoized aggregate pricing for a whole plan; returns (pricer,
+        op, calls) with ``pricer(now)`` pricing one attempt of the batch.
 
-        Same branch structure as :meth:`_plan_price`, but routed through
-        :meth:`NetworkModel.batch_pricer` so the now-independent
-        arithmetic is resolved once per (plan shape, placement) and
-        replayed across iterations.  Front-memoized in the layer's flat
-        pricer cache: everything pricing-relevant about a plan is its
-        (kind, ncalls, nelems_per_call, stride) shape.
+        :meth:`NetworkModel.batch_pricer` replays the exact per-call
+        float arithmetic, so timing is bit-identical to the sequential
+        loop.  Non-native line plans degenerate to one put/get per
+        *element*, just like :meth:`iput` does.  Front-memoized in the
+        layer's flat pricer cache: everything pricing-relevant about a
+        plan is its (kind, ncalls, nelems_per_call, stride) shape.
         """
         key = ("pl", direction, src, dst, itemsize, spec.kind,
                spec.ncalls, spec.nelems_per_call, spec.stride)
         entry = self._pricers.get(key)
         if entry is not None:
             return entry
-        if len(self._pricers) > 65536:
-            self._pricers.clear()
-        entry = self._make_plan_pricer(direction, spec, itemsize, src, dst)
-        self._pricers[key] = entry
-        return entry
-
-    def _make_plan_pricer(self, direction: str, spec: BatchSpec, itemsize: int,
-                          src: int, dst: int):
         net = self.job.network
         if spec.kind == "lines" and self.profile.iput_native:
-            op = "iput" if direction == "put" else "iget"
+            op, calls = ("iput" if direction == "put" else "iget"), spec.ncalls
             pricer = net.batch_pricer(
-                op, src, dst, count=spec.ncalls, conduit=self.profile,
+                op, src, dst, count=calls, conduit=self.profile,
                 nelems=spec.nelems_per_call, elem_size=itemsize,
                 stride_bytes=spec.stride * itemsize,
             )
-            return pricer, op, spec.ncalls
-        op = "put" if direction == "put" else "get"
-        if spec.kind == "lines":
+        else:
+            op = "put" if direction == "put" else "get"
+            if spec.kind == "lines":
+                calls, nbytes = spec.total_elems, itemsize
+            else:
+                calls, nbytes = spec.ncalls, spec.nelems_per_call * itemsize
             pricer = net.batch_pricer(
-                op, src, dst, count=spec.total_elems, conduit=self.profile,
-                nbytes=itemsize,
+                op, src, dst, count=calls, conduit=self.profile, nbytes=nbytes
             )
-            return pricer, op, spec.total_elems
-        pricer = net.batch_pricer(
-            op, src, dst, count=spec.ncalls, conduit=self.profile,
-            nbytes=spec.nelems_per_call * itemsize,
-        )
-        return pricer, op, spec.ncalls
+        return self._remember(key, (pricer, op, calls))
 
     def execute_plan_put(
         self, dest: SymmetricArray, value, pe: int, spec: BatchSpec
@@ -688,61 +560,35 @@ class OneSidedLayer:
         self._check_failed(ctx, "put", pe)
         t_start = ctx.clock.now
         itemsize = dest.itemsize
-        price, op, calls = self._plan_price("put", spec, itemsize, pe)
+        price, op, calls = self._plan_pricer("put", spec, itemsize, ctx.pe, pe)
         timing = self._priced(ctx, self, op, pe, price, _FAIL_AT_REMOTE)
         mem = self.job.memories[pe]
         ts = timing.remote_complete
-        # Small plans skip index compilation: below the threshold the
-        # plain write path is cheaper in wall clock (bit-identical in
-        # virtual time and data either way).
-        vec = self.vectorized and spec.total_elems >= self.vector_min_elems
-        if vec:
-            expanded, index, lo, hi = spec.vector_index(dest.byte_offset)
-            if self._eager:
-                mem.scatter_at(
-                    index, data, timestamp=ts,
-                    elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-                )
-            else:
-                payload = data.copy()
-                self._deposit(
-                    ctx,
-                    lambda: mem.scatter_at(
-                        index, payload, timestamp=ts,
-                        elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-                    ),
-                )
+        expanded, index, lo, hi = spec.vector_index(dest.byte_offset)
+        if self._eager:
+            mem.scatter_at(
+                index, data, timestamp=ts,
+                elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
+            )
         else:
-            abs_index = spec.rel_index + dest.byte_offset
-            aligned = dest.byte_offset % itemsize == 0
-            if self._eager:
-                mem.write_at(
-                    abs_index,
-                    itemsize,
-                    data,
-                    timestamp=ts,
-                    aligned=aligned,
-                )
-            else:
-                payload = data.copy()
-                self._deposit(
-                    ctx,
-                    lambda: mem.write_at(
-                        abs_index, itemsize, payload, timestamp=ts, aligned=aligned
-                    ),
-                )
+            payload = data.copy()
+            self._deposit(
+                ctx,
+                lambda: mem.scatter_at(
+                    index, payload, timestamp=ts,
+                    elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
+                ),
+            )
         ctx.clock.merge(timing.local_complete)
         if timing.remote_complete > self._pending[ctx.pe]:
             self._pending[ctx.pe] = timing.remote_complete
         tracer = self.job.tracer
         if tracer is not None:
-            if not tracer.capture_sync:
-                fp = ()
-            elif self.vectorized:
-                # Deferred: the tracer merges intervals at read time.
-                fp = ("@off", spec.rel_index, dest.byte_offset, itemsize)
-            else:
-                fp = offsets_footprint(spec.rel_index + dest.byte_offset, itemsize)
+            # Deferred: the tracer merges intervals at read time.
+            fp = (
+                ("@off", spec.rel_index, dest.byte_offset, itemsize)
+                if tracer.capture_sync else ()
+            )
             tracer.record(
                 ctx.pe, op, pe, data.nbytes, t_start, ctx.clock.now, calls=calls,
                 addr=dest.byte_offset + spec.min_elem * itemsize, footprint=fp,
@@ -763,28 +609,19 @@ class OneSidedLayer:
         self._check_failed(ctx, "get", pe)
         t_start = ctx.clock.now
         itemsize = src.itemsize
-        price, op, calls = self._plan_price("get", spec, itemsize, pe)
+        price, op, calls = self._plan_pricer("get", spec, itemsize, ctx.pe, pe)
         done = self._priced(ctx, self, op, pe, price, _fail_at_done)
-        if self.vectorized and spec.total_elems >= self.vector_min_elems:
-            expanded, index, lo, hi = spec.vector_index(src.byte_offset)
-            raw = self.job.memories[pe].gather_at(
-                index, elem_size=itemsize, lo=lo, hi=hi, expanded=expanded
-            )
-        else:
-            raw = self.job.memories[pe].read_at(
-                spec.rel_index + src.byte_offset,
-                itemsize,
-                aligned=src.byte_offset % itemsize == 0,
-            )
+        expanded, index, lo, hi = spec.vector_index(src.byte_offset)
+        raw = self.job.memories[pe].gather_at(
+            index, elem_size=itemsize, lo=lo, hi=hi, expanded=expanded
+        )
         ctx.clock.merge(done)
         tracer = self.job.tracer
         if tracer is not None:
-            if not tracer.capture_sync:
-                fp = ()
-            elif self.vectorized:
-                fp = ("@off", spec.rel_index, src.byte_offset, itemsize)
-            else:
-                fp = offsets_footprint(spec.rel_index + src.byte_offset, itemsize)
+            fp = (
+                ("@off", spec.rel_index, src.byte_offset, itemsize)
+                if tracer.capture_sync else ()
+            )
             tracer.record(
                 ctx.pe, op, pe, raw.size, t_start, ctx.clock.now, calls=calls,
                 addr=src.byte_offset + spec.min_elem * itemsize, footprint=fp,
@@ -911,20 +748,14 @@ class OneSidedLayer:
                 return self.job.network.amo_uncontended(
                     ctx.pe, pe, self.profile, now
                 )
-        elif self.vectorized:
+        else:
             key = ("a", ctx.pe, pe)
             entry = self._pricers.get(key)
             if entry is None:
-                if len(self._pricers) > 65536:
-                    self._pricers.clear()
-                entry = self.job.network.amo_pricer(ctx.pe, pe, self.profile)
-                self._pricers[key] = entry
+                entry = self._remember(
+                    key, self.job.network.amo_pricer(ctx.pe, pe, self.profile)
+                )
             price, proc, back = entry
-        else:
-            proc = back = None
-
-            def price(now):
-                return self.job.network.amo(ctx.pe, pe, self.profile, now)
         done = self._priced(ctx, self, "atomic", pe, price, _fail_at_done)
         fn = self._amo_fn(op, dtype, operands)
         elem_offset = target.element_offset(offset)

@@ -124,9 +124,7 @@ class Window:
         # an ordering point to guarantee element-wise atomicity).
         timing = layer._priced(
             ctx, layer, "atomic", rank,
-            lambda now: layer.job.network.put(
-                ctx.pe, rank, data.nbytes, layer.profile, now
-            ),
+            layer.job.network.put_pricer(ctx.pe, rank, data.nbytes, layer.profile),
             _FAIL_AT_REMOTE,
         )
         node = layer.job.topology.node_of(rank)

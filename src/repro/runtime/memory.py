@@ -171,17 +171,25 @@ class PEMemory:
 
     _VIEW_DTYPES = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
-    def _scatter_index(self, offsets: np.ndarray, elem_size: int) -> np.ndarray:
-        """Byte-expand element offsets for the unaligned fallback."""
-        return (offsets[:, None] + np.arange(elem_size)[None, :]).ravel()
-
-    def _check_at(self, offsets: np.ndarray, elem_size: int) -> None:
+    def _plan_index(
+        self, offsets: np.ndarray, elem_size: int, aligned: bool | None
+    ) -> tuple[np.ndarray, int, int, bool]:
+        """Compile absolute byte ``offsets`` into the ``(index, lo, hi,
+        expanded)`` argument set of :meth:`scatter_at` / :meth:`gather_at`:
+        element indices into the ``elem_size`` view when every offset is
+        aligned (``aligned=None`` means check here), a byte-expanded
+        index otherwise."""
         lo = int(offsets.min())
         hi = int(offsets.max()) + elem_size
-        if lo < 0 or hi > self.nbytes:
-            raise IndexError(
-                f"batched access [{lo}, {hi}) outside heap of {self.nbytes} bytes"
-            )
+        if elem_size == 1:
+            return offsets, lo, hi, False
+        if elem_size in self._VIEW_DTYPES:
+            if aligned is None:
+                aligned = not (offsets % elem_size).any()
+            if aligned:
+                return offsets // elem_size, lo, hi, False
+        index = (offsets[:, None] + np.arange(elem_size)[None, :]).ravel()
+        return index, lo, hi, True
 
     def write_at(
         self,
@@ -193,13 +201,11 @@ class PEMemory:
         aligned: bool | None = None,
     ) -> None:
         """Scatter one ``elem_size``-byte element per entry of ``offsets``
-        (absolute byte offsets) under a **single** lock acquisition and
-        one ``notify_all`` — the functional half of a whole batched
-        transfer plan.
+        (absolute byte offsets): :meth:`scatter_at` for callers that hold
+        offsets rather than a precompiled index.
 
         ``aligned`` may assert that every offset is a multiple of
-        ``elem_size`` (callers with cached index arrays know this);
-        ``None`` means check here.
+        ``elem_size``; ``None`` means check here.
         """
         raw = (
             np.frombuffer(data, dtype=np.uint8)
@@ -210,20 +216,10 @@ class PEMemory:
             raise ValueError("data length must equal len(offsets) * elem_size")
         if offsets.shape[0] == 0:
             return
-        self._check_at(offsets, elem_size)
-        if aligned is None:
-            aligned = elem_size in self._VIEW_DTYPES and not (offsets % elem_size).any()
-        with self._cond:
-            if elem_size == 1:
-                self._buf[offsets] = raw
-            elif aligned and elem_size in self._VIEW_DTYPES:
-                dt = self._VIEW_DTYPES[elem_size]
-                usable = self.nbytes - self.nbytes % elem_size
-                self._buf[:usable].view(dt)[offsets // elem_size] = raw.view(dt)
-            else:
-                self._buf[self._scatter_index(offsets, elem_size)] = raw
-            self._note_write(timestamp)
-            self._cond.notify_all()
+        index, lo, hi, expanded = self._plan_index(offsets, elem_size, aligned)
+        self.scatter_at(
+            index, raw, timestamp, elem_size=elem_size, lo=lo, hi=hi, expanded=expanded
+        )
 
     def read_at(
         self,
@@ -233,24 +229,14 @@ class PEMemory:
         aligned: bool | None = None,
     ) -> np.ndarray:
         """Gather one element per entry of ``offsets`` into a contiguous
-        ``uint8`` copy (element order preserved), under one lock."""
+        ``uint8`` copy (element order preserved): :meth:`gather_at` for
+        callers that hold offsets rather than a precompiled index."""
         if elem_size <= 0:
             raise ValueError("elem_size must be positive")
         if offsets.shape[0] == 0:
             return np.empty(0, dtype=np.uint8)
-        self._check_at(offsets, elem_size)
-        if aligned is None:
-            aligned = elem_size in self._VIEW_DTYPES and not (offsets % elem_size).any()
-        with self._cond:
-            # Fancy indexing already yields a fresh contiguous copy.
-            if elem_size == 1:
-                return self._buf[offsets]
-            if aligned and elem_size in self._VIEW_DTYPES:
-                dt = self._VIEW_DTYPES[elem_size]
-                usable = self.nbytes - self.nbytes % elem_size
-                out = self._buf[:usable].view(dt)[offsets // elem_size]
-                return out.view(np.uint8).reshape(-1)
-            return self._buf[self._scatter_index(offsets, elem_size)]
+        index, lo, hi, expanded = self._plan_index(offsets, elem_size, aligned)
+        return self.gather_at(index, elem_size=elem_size, lo=lo, hi=hi, expanded=expanded)
 
     def scatter_at(
         self,
@@ -263,10 +249,10 @@ class PEMemory:
         hi: int,
         expanded: bool = False,
     ) -> None:
-        """Scatter a whole precompiled plan as one fancy-indexed copy.
+        """Scatter a whole transfer plan as one fancy-indexed copy, under
+        a **single** lock acquisition and one ``notify_all``.
 
-        The vectorized counterpart of :meth:`write_at` for callers that
-        hold a *precomputed* index array (a cached
+        For callers that hold a *precomputed* index array (a cached
         :class:`~repro.comm.base.BatchSpec`): ``index`` is already in
         the granularity the copy needs — element indices into the
         ``elem_size``-wide view of the heap (``expanded=False``; byte
@@ -300,9 +286,9 @@ class PEMemory:
         hi: int,
         expanded: bool = False,
     ) -> np.ndarray:
-        """Gather a whole precompiled plan into a contiguous ``uint8``
-        copy — the vectorized counterpart of :meth:`read_at`; see
-        :meth:`scatter_at` for the ``index``/bounds contract."""
+        """Gather a whole transfer plan into a contiguous ``uint8`` copy
+        under one lock; see :meth:`scatter_at` for the ``index``/bounds
+        contract."""
         if lo < 0 or hi > self.nbytes:
             raise IndexError(
                 f"batched access [{lo}, {hi}) outside heap of {self.nbytes} bytes"

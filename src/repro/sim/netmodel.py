@@ -53,22 +53,6 @@ from repro.sim.resources import Timeline
 from repro.sim.topology import Topology
 
 
-def _alternating_chain(start: float, deltas: tuple[float, ...], reps: int) -> np.ndarray:
-    """``cumsum([start, *deltas, *deltas, ...])`` with ``reps`` repetitions.
-
-    ``np.cumsum`` accumulates strictly left to right, so the result is
-    bit-for-bit the value chain a scalar loop applying ``deltas`` in
-    order ``reps`` times would produce — the backbone of every batch
-    pricing method below.
-    """
-    k = len(deltas)
-    seq = np.empty(1 + k * reps, dtype=np.float64)
-    seq[0] = start
-    if reps:
-        seq[1:] = np.tile(np.asarray(deltas, dtype=np.float64), reps)
-    return np.cumsum(seq)
-
-
 @dataclass(frozen=True, slots=True)
 class TransferTiming:
     """When a one-sided transfer completes, from both ends."""
@@ -240,7 +224,7 @@ class NetworkModel:
         self._amo = [tf(f"node{i}.amo") for i in range(n)]
         self._cpu = [tf(f"node{i}.amcpu") for i in range(n)]
         self._machine = m
-        # Memoized pricing closures (see the "pricer" section below).
+        # Memoized pricing closures (see "the pricers" below).
         # Plain dict; get/set are GIL-atomic and a lost race merely
         # builds an equivalent closure twice.
         self._pricers: dict[tuple, object] = {}
@@ -258,49 +242,19 @@ class NetworkModel:
         """Expose the resource timelines (for tests and utilization stats)."""
         return {"tx": self._tx, "rx": self._rx, "amo": self._amo, "cpu": self._cpu}
 
-    # -- one-sided data movement --------------------------------------
-    def put(
-        self, src: int, dst: int, nbytes: int, conduit: ConduitProfile, now: float
-    ) -> TransferTiming:
-        """Price a contiguous put of ``nbytes`` from PE ``src`` to ``dst``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            ready = now + 0.5 * conduit.o_put_us
-            done = ready + m.intra_latency_us + nbytes / m.intra_bandwidth_Bpus
-            return TransferTiming(local_complete=done, remote_complete=done)
-        overhead = conduit.o_put_us
-        if nbytes > conduit.eager_threshold:
-            overhead += conduit.rendezvous_extra_us
-        ready = now + overhead
-        wire = self._wire_time(nbytes, conduit)
-        tx_start, tx_end = self._tx[src_node].reserve(ready, wire)
-        _, rx_end = self._rx[dst_node].reserve(tx_start + m.link_latency_us, wire)
-        local = ready if nbytes <= conduit.eager_threshold else tx_end
-        return TransferTiming(local_complete=local, remote_complete=rx_end)
-
-    def get(
-        self, src: int, dst: int, nbytes: int, conduit: ConduitProfile, now: float
-    ) -> float:
-        """Price a blocking get: ``src`` reads ``nbytes`` from ``dst``.
-
-        Returns the completion time (data available at the initiator).
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            return now + 0.5 * conduit.o_get_us + m.intra_latency_us + nbytes / m.intra_bandwidth_Bpus
-        request_arrival = now + conduit.o_get_us + m.link_latency_us
-        wire = self._wire_time(nbytes, conduit)
-        tx_start, _ = self._tx[dst_node].reserve(request_arrival, wire)
-        _, rx_end = self._rx[src_node].reserve(tx_start + m.link_latency_us, wire)
-        return rx_end
+    # -- one-sided data movement: the pricers --------------------------
+    #
+    # Every price is a deterministic closed form of (operation, src/dst
+    # *node* pair, sizes/counts/strides, conduit) plus the initiator
+    # clock ``now`` and the mutable timeline state.  The model therefore
+    # hands out *pricers*: memoized closures with the now-independent
+    # pieces resolved once (node lookups, wire times, gather gaps,
+    # overhead sums, tiled delta templates, branch selection) that do
+    # only the remaining float additions per call.  Priced times are
+    # NOT cached (they depend on ``now`` and on timeline state, and
+    # float addition is not associative).  The pricers are the model;
+    # the direct methods further down (``put``, ``put_batch``, ...) are
+    # views of them, not a second copy of the arithmetic.
 
     @staticmethod
     def _gather_gap(
@@ -320,335 +274,6 @@ class NetworkModel:
             gap *= min(5.0, 1.0 + 0.35 * math.log2(stride_bytes / 64))
         return gap
 
-    def iput(
-        self,
-        src: int,
-        dst: int,
-        nelems: int,
-        elem_size: int,
-        conduit: ConduitProfile,
-        now: float,
-        stride_bytes: int | None = None,
-    ) -> TransferTiming:
-        """Price a *native* 1-D strided put (``shmem_iput``) of ``nelems``
-        elements of ``elem_size`` bytes each, ``stride_bytes`` apart.
-
-        Only meaningful when ``conduit.iput_native``; non-native conduits
-        must instead loop over :meth:`put` calls — that decision is made
-        by the SHMEM layer, mirroring how MVAPICH2-X implements
-        ``shmem_iput`` as a series of contiguous puts.
-        """
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            ready = now + 0.5 * conduit.o_put_us
-            done = (
-                ready + m.intra_latency_us + nbytes / m.intra_bandwidth_Bpus + nelems * gap
-            )
-            return TransferTiming(local_complete=done, remote_complete=done)
-        ready = now + conduit.o_put_us
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        tx_start, tx_end = self._tx[src_node].reserve(ready, duration)
-        _, rx_end = self._rx[dst_node].reserve(tx_start + m.link_latency_us, duration)
-        # Strided source data cannot be eagerly buffered as one block; the
-        # source buffer is free once the descriptor's gather completes.
-        return TransferTiming(local_complete=tx_end, remote_complete=rx_end)
-
-    def iget(
-        self,
-        src: int,
-        dst: int,
-        nelems: int,
-        elem_size: int,
-        conduit: ConduitProfile,
-        now: float,
-        stride_bytes: int | None = None,
-    ) -> float:
-        """Price a *native* blocking 1-D strided get (``shmem_iget``).
-
-        Like :meth:`get` but the target NIC pays a per-element gather gap.
-        Only valid for ``conduit.iput_native`` conduits.
-        """
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            return now + 0.5 * conduit.o_get_us + m.intra_latency_us + nbytes / m.intra_bandwidth_Bpus
-        request_arrival = now + conduit.o_get_us + m.link_latency_us
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        tx_start, _ = self._tx[dst_node].reserve(request_arrival, duration)
-        _, rx_end = self._rx[src_node].reserve(tx_start + m.link_latency_us, duration)
-        return rx_end
-
-    # -- batched one-sided data movement -------------------------------
-    #
-    # Each *_batch method prices ``count`` identical back-to-back calls
-    # issued by one initiator whose clock merges each call's local
-    # completion before the next call (exactly what OneSidedLayer does),
-    # returning the timing of the *final* call.  Within such a chain the
-    # intermediate local/remote times increase monotonically, so callers
-    # that only need the final clock value, the final pending-remote
-    # time, and a single max-stamped memory update lose nothing.  All
-    # arithmetic replays the scalar path's additions in the same order
-    # (cumsum chains + the timelines' batch primitives), making every
-    # returned time and every timeline counter bit-identical to ``count``
-    # sequential calls.  The whole chain is priced atomically; under
-    # multi-initiator contention the scalar path could interleave with
-    # other PEs' reservations, but that interleaving is scheduler-
-    # dependent (nondeterministic) either way.
-
-    def put_batch(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        count: int,
-        conduit: ConduitProfile,
-        now: float,
-    ) -> TransferTiming:
-        """Price ``count`` identical contiguous puts; final call's timing."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.put(src, dst, nbytes, conduit, now)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            # done_k = ((now_k + 0.5*o) + lat) + nbytes/bw; now_{k+1} = done_k
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_put_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            done = float(full[-1])
-            return TransferTiming(local_complete=done, remote_complete=done)
-        wire = self._wire_time(nbytes, conduit)
-        if nbytes <= conduit.eager_threshold:
-            # Eager: local_k = ready_k = now_k + o, so the ready chain is
-            # independent of the timelines and fully precomputable.
-            ready = _alternating_chain(now, (conduit.o_put_us,), count)[1:]
-            tx_starts = self._tx[src_node].reserve_batch(ready, wire)
-            rx_starts = self._rx[dst_node].reserve_batch(
-                tx_starts + m.link_latency_us, wire
-            )
-            return TransferTiming(
-                local_complete=float(ready[-1]),
-                remote_complete=float(rx_starts[-1] + wire),
-            )
-        # Rendezvous: local_k = tx_end_k, so ready_{k+1} = tx_end_k + o_r
-        # >= tx_end_k = tx next_free — only the first call can queue.
-        o_r = conduit.o_put_us + conduit.rendezvous_extra_us
-        s1, _ = self._tx[src_node].reserve(now + o_r, wire)
-        full = _alternating_chain(s1, (wire, o_r), count - 1)
-        tx_starts = full[0::2]
-        tx_end_last = float(tx_starts[-1] + wire)
-        self._tx[src_node].push_batch(tx_end_last, count - 1, wire)
-        rx_starts = self._rx[dst_node].reserve_batch(
-            tx_starts + m.link_latency_us, wire
-        )
-        return TransferTiming(
-            local_complete=tx_end_last,
-            remote_complete=float(rx_starts[-1] + wire),
-        )
-
-    def get_batch(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        count: int,
-        conduit: ConduitProfile,
-        now: float,
-    ) -> float:
-        """Price ``count`` identical blocking gets; final completion time."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.get(src, dst, nbytes, conduit, now)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_get_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            return float(full[-1])
-        wire = self._wire_time(nbytes, conduit)
-        # First call can queue on both timelines; reserve it for real.
-        s1, _ = self._tx[dst_node].reserve(
-            now + conduit.o_get_us + m.link_latency_us, wire
-        )
-        _, done1 = self._rx[src_node].reserve(s1 + m.link_latency_us, wire)
-        # done_{k-1} -> +o_get -> +L -> tx_start_k -> +L -> rx_start_k
-        # -> +wire -> done_k; each earliest provably >= the timeline's
-        # next_free left by the previous call, so no re-queueing.
-        full = _alternating_chain(
-            done1,
-            (conduit.o_get_us, m.link_latency_us, m.link_latency_us, wire),
-            count - 1,
-        )
-        tx_starts = full[2::4]
-        self._tx[dst_node].push_batch(float(tx_starts[-1] + wire), count - 1, wire)
-        self._rx[src_node].push_batch(float(full[-1]), count - 1, wire)
-        return float(full[-1])
-
-    def iput_batch(
-        self,
-        src: int,
-        dst: int,
-        nelems: int,
-        elem_size: int,
-        count: int,
-        conduit: ConduitProfile,
-        now: float,
-        stride_bytes: int | None = None,
-    ) -> TransferTiming:
-        """Price ``count`` identical native strided puts; final timing."""
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.iput(src, dst, nelems, elem_size, conduit, now, stride_bytes)
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_put_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                    nelems * gap,
-                ),
-                count,
-            )
-            done = float(full[-1])
-            return TransferTiming(local_complete=done, remote_complete=done)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + o >= next_free:
-        # only the first descriptor can queue on the injection engine.
-        s1, _ = self._tx[src_node].reserve(now + conduit.o_put_us, duration)
-        full = _alternating_chain(s1, (duration, conduit.o_put_us), count - 1)
-        tx_starts = full[0::2]
-        tx_end_last = float(tx_starts[-1] + duration)
-        self._tx[src_node].push_batch(tx_end_last, count - 1, duration)
-        rx_starts = self._rx[dst_node].reserve_batch(
-            tx_starts + m.link_latency_us, duration
-        )
-        return TransferTiming(
-            local_complete=tx_end_last,
-            remote_complete=float(rx_starts[-1] + duration),
-        )
-
-    def iget_batch(
-        self,
-        src: int,
-        dst: int,
-        nelems: int,
-        elem_size: int,
-        count: int,
-        conduit: ConduitProfile,
-        now: float,
-        stride_bytes: int | None = None,
-    ) -> float:
-        """Price ``count`` identical native strided gets; final completion."""
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.iget(src, dst, nelems, elem_size, conduit, now, stride_bytes)
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_get_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            return float(full[-1])
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        s1, _ = self._tx[dst_node].reserve(
-            now + conduit.o_get_us + m.link_latency_us, duration
-        )
-        _, done1 = self._rx[src_node].reserve(s1 + m.link_latency_us, duration)
-        full = _alternating_chain(
-            done1,
-            (conduit.o_get_us, m.link_latency_us, m.link_latency_us, duration),
-            count - 1,
-        )
-        tx_starts = full[2::4]
-        self._tx[dst_node].push_batch(
-            float(tx_starts[-1] + duration), count - 1, duration
-        )
-        self._rx[src_node].push_batch(float(full[-1]), count - 1, duration)
-        return float(full[-1])
-
-    # -- memoized pricing closures -------------------------------------
-    #
-    # Every pricing method above is a deterministic closed form of
-    # (operation, src/dst *node* pair, sizes/counts/strides, conduit)
-    # plus the initiator clock ``now`` and the mutable timeline state.
-    # The vectorized data plane therefore memoizes *pricers*: closures
-    # with the now-independent pieces resolved once (node lookups, wire
-    # times, gather gaps, overhead sums, tiled delta templates, branch
-    # selection) that replay the remaining arithmetic — the same float
-    # additions in the same order — per call.  Results are bit-identical
-    # to the plain methods; only redundant Python work is removed.
-    # Actual priced times are NOT cached (they depend on ``now`` and on
-    # timeline state, and float addition is not associative).
-
     def _pricer(self, key: tuple, make):
         p = self._pricers.get(key)
         if p is None:
@@ -659,7 +284,8 @@ class NetworkModel:
         return p
 
     def put_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
-        """Memoized :meth:`put` closure: ``price(now) -> TransferTiming``."""
+        """Pricer for a contiguous put of ``nbytes`` from PE ``src`` to
+        ``dst``: memoized ``price(now) -> TransferTiming``."""
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
 
@@ -697,7 +323,9 @@ class NetworkModel:
         return self._pricer(("put1", src_node, dst_node, nbytes, conduit), make)
 
     def get_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
-        """Memoized :meth:`get` closure: ``price(now) -> done``."""
+        """Pricer for a blocking get (``src`` reads ``nbytes`` from
+        ``dst``): memoized ``price(now) -> done``, the time the data is
+        available at the initiator."""
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
 
@@ -732,7 +360,15 @@ class NetworkModel:
         conduit: ConduitProfile,
         stride_bytes: int | None = None,
     ):
-        """Memoized :meth:`iput` closure: ``price(now) -> TransferTiming``."""
+        """Pricer for a *native* 1-D strided put (``shmem_iput``) of
+        ``nelems`` elements of ``elem_size`` bytes each, ``stride_bytes``
+        apart: memoized ``price(now) -> TransferTiming``.
+
+        Only meaningful when ``conduit.iput_native``; non-native conduits
+        must instead loop over puts — that decision is made by the SHMEM
+        layer, mirroring how MVAPICH2-X implements ``shmem_iput`` as a
+        series of contiguous puts.
+        """
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
 
@@ -761,6 +397,8 @@ class NetworkModel:
             duration = self._wire_time(nbytes, conduit) + nelems * gap
             tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
 
+            # Strided source data cannot be eagerly buffered as one block:
+            # the source buffer is free once the descriptor's gather ends.
             def price(now: float) -> TransferTiming:
                 tx_start, tx_end = tx.reserve(now + o, duration)
                 _, rx_end = rx.reserve(tx_start + L, duration)
@@ -782,7 +420,12 @@ class NetworkModel:
         conduit: ConduitProfile,
         stride_bytes: int | None = None,
     ):
-        """Memoized :meth:`iget` closure: ``price(now) -> done``."""
+        """Pricer for a *native* blocking 1-D strided get
+        (``shmem_iget``): memoized ``price(now) -> done``.
+
+        Like :meth:`get_pricer` but the target NIC pays a per-element
+        gather gap.  Only valid for ``conduit.iput_native`` conduits.
+        """
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
 
@@ -818,12 +461,15 @@ class NetworkModel:
         )
 
     def amo_pricer(self, src: int, dst: int, conduit: ConduitProfile):
-        """Memoized :meth:`amo` pricing: ``(price, proc, back)``.
+        """Pricer for an 8-byte remote atomic (swap/cswap/fadd/...):
+        memoized ``(price, proc, back)`` where ``price(now)`` is the
+        completion time of the fetching round trip.
 
-        ``proc``/``back`` are the target-side processing and return-leg
-        constants the caller's handoff-causality adjustment needs (the
-        same branch :meth:`OneSidedLayer.atomic` otherwise re-resolves
-        per call).
+        NIC-offloaded conduits serialize on the target NIC's atomic
+        unit; AM-emulated ones go through the target CPU and pay its
+        attentiveness delay.  ``proc``/``back`` are the target-side
+        processing and return-leg constants the caller's
+        handoff-causality adjustment needs.
         """
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
@@ -872,15 +518,15 @@ class NetworkModel:
         elem_size: int = 0,
         stride_bytes: int | None = None,
     ):
-        """Memoized counterpart of the ``*_batch`` methods.
-
-        ``op`` is ``put``/``get``/``iput``/``iget``; returns a closure
-        ``price(now)`` with the same return type and the same timeline
-        side effects as one call to the matching batch method.
+        """Pricer for ``count`` identical back-to-back calls of ``op``
+        (``put``/``get``/``iput``/``iget``): memoized ``price(now)``
+        returning the *final* call's timing, with the return type of
+        the scalar pricer and the timeline side effects of ``count``
+        sequential calls (see "batch pricers" below).
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        if count == 1:  # the batch methods delegate to the scalar forms
+        if count == 1:
             if op == "put":
                 return self.put_pricer(src, dst, nbytes, conduit)
             if op == "get":
@@ -910,6 +556,26 @@ class NetworkModel:
         else:
             raise ValueError(f"unknown batch op {op!r}")
         return self._pricer(key, make)
+
+    # -- batch pricers -------------------------------------------------
+    #
+    # A batch pricer prices ``count`` identical back-to-back calls
+    # issued by one initiator whose clock merges each call's local
+    # completion before the next call (exactly what OneSidedLayer does),
+    # returning the timing of the *final* call.  Within such a chain the
+    # intermediate local/remote times increase monotonically, so callers
+    # that only need the final clock value, the final pending-remote
+    # time, and a single max-stamped memory update lose nothing.  All
+    # arithmetic replays the scalar pricer's additions in the same
+    # order: ``np.cumsum`` accumulates strictly left to right, so a
+    # cumsum over the tiled per-call deltas is bit-for-bit the value
+    # chain a scalar loop would produce, and the timelines' batch
+    # primitives (``reserve_batch``/``push_batch``) do the same for the
+    # counters — every returned time and every timeline counter is
+    # bit-identical to ``count`` sequential calls.  The whole chain is
+    # priced atomically; under multi-initiator contention a scalar loop
+    # could interleave with other PEs' reservations, but that
+    # interleaving is scheduler-dependent (nondeterministic) either way.
 
     @staticmethod
     def _chain_last(now: float, template: np.ndarray) -> float:
@@ -942,6 +608,8 @@ class NetworkModel:
         wire = self._wire_time(nbytes, conduit)
         tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
         if nbytes <= conduit.eager_threshold:
+            # Eager: local_k = ready_k = now_k + o, so the ready chain is
+            # independent of the timelines.
             o = conduit.o_put_us
 
             def price(now: float) -> TransferTiming:
@@ -957,6 +625,8 @@ class NetworkModel:
                 )
 
             return price
+        # Rendezvous: local_k = tx_end_k, so ready_{k+1} = tx_end_k + o_r
+        # >= tx_end_k = tx next_free — only the first call can queue.
         o_r = conduit.o_put_us + conduit.rendezvous_extra_us
         tmpl = np.tile(np.asarray((wire, o_r), dtype=np.float64), count - 1)
 
@@ -994,6 +664,10 @@ class NetworkModel:
         o_get = conduit.o_get_us
         wire = self._wire_time(nbytes, conduit)
         tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
+        # The first call can queue on both timelines and is reserved for
+        # real.  After it: done_{k-1} -> +o_get -> +L -> tx_start_k -> +L
+        # -> rx_start_k -> +wire -> done_k, each earliest provably >= the
+        # timeline's next_free left by the previous call (no re-queueing).
         tmpl = np.tile(np.asarray((o_get, L, L, wire), dtype=np.float64), count - 1)
 
         def price(now: float) -> float:
@@ -1040,6 +714,8 @@ class NetworkModel:
         o = conduit.o_put_us
         duration = self._wire_time(nbytes, conduit) + nelems * gap
         tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
+        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + o >= next_free:
+        # only the first descriptor can queue on the injection engine.
         tmpl = np.tile(np.asarray((duration, o), dtype=np.float64), count - 1)
 
         def price(now: float) -> TransferTiming:
@@ -1100,30 +776,117 @@ class NetworkModel:
 
         return price
 
-    # -- atomics -------------------------------------------------------
-    def amo(self, src: int, dst: int, conduit: ConduitProfile, now: float) -> float:
-        """Price an 8-byte remote atomic (swap/cswap/fadd/...).
+    # -- direct views of the pricers -----------------------------------
+    #
+    # One price, right now: build (or fetch) the pricer and call it.
+    # For callers off the hot path (MPI accumulate, tests, tools); the
+    # communication layers hold on to the pricers instead.
 
-        Returns the completion time of the fetching round trip.
-        """
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            _, end = self._amo[dst_node].reserve(
-                now + 0.5 * conduit.o_amo_us, m.amo_process_us
-            )
-            return end
-        if conduit.amo_offload:
-            arrival = now + conduit.o_amo_us + m.link_latency_us
-            _, end = self._amo[dst_node].reserve(arrival, m.amo_process_us)
-            return end + m.link_latency_us
-        # Active-message emulation: through the target CPU.
-        arrival = (
-            now + conduit.o_amo_us + m.link_latency_us + m.am_attentiveness_us
-        )
-        _, end = self._cpu[dst_node].reserve(arrival, m.cpu_am_process_us)
-        return end + m.link_latency_us
+    def put(
+        self, src: int, dst: int, nbytes: int, conduit: ConduitProfile, now: float
+    ) -> TransferTiming:
+        """Price a contiguous put of ``nbytes`` from PE ``src`` to ``dst``."""
+        return self.put_pricer(src, dst, nbytes, conduit)(now)
+
+    def get(
+        self, src: int, dst: int, nbytes: int, conduit: ConduitProfile, now: float
+    ) -> float:
+        """Price a blocking get (``src`` reads ``nbytes`` from ``dst``);
+        returns the completion time."""
+        return self.get_pricer(src, dst, nbytes, conduit)(now)
+
+    def iput(
+        self,
+        src: int,
+        dst: int,
+        nelems: int,
+        elem_size: int,
+        conduit: ConduitProfile,
+        now: float,
+        stride_bytes: int | None = None,
+    ) -> TransferTiming:
+        """Price one native 1-D strided put (see :meth:`iput_pricer`)."""
+        return self.iput_pricer(src, dst, nelems, elem_size, conduit, stride_bytes)(now)
+
+    def iget(
+        self,
+        src: int,
+        dst: int,
+        nelems: int,
+        elem_size: int,
+        conduit: ConduitProfile,
+        now: float,
+        stride_bytes: int | None = None,
+    ) -> float:
+        """Price one native blocking 1-D strided get (see :meth:`iget_pricer`)."""
+        return self.iget_pricer(src, dst, nelems, elem_size, conduit, stride_bytes)(now)
+
+    def amo(self, src: int, dst: int, conduit: ConduitProfile, now: float) -> float:
+        """Price an 8-byte remote atomic; returns the completion time of
+        the fetching round trip."""
+        return self.amo_pricer(src, dst, conduit)[0](now)
+
+    def put_batch(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        count: int,
+        conduit: ConduitProfile,
+        now: float,
+    ) -> TransferTiming:
+        """Price ``count`` identical contiguous puts; final call's timing."""
+        return self.batch_pricer(
+            "put", src, dst, count=count, conduit=conduit, nbytes=nbytes
+        )(now)
+
+    def get_batch(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        count: int,
+        conduit: ConduitProfile,
+        now: float,
+    ) -> float:
+        """Price ``count`` identical blocking gets; final completion time."""
+        return self.batch_pricer(
+            "get", src, dst, count=count, conduit=conduit, nbytes=nbytes
+        )(now)
+
+    def iput_batch(
+        self,
+        src: int,
+        dst: int,
+        nelems: int,
+        elem_size: int,
+        count: int,
+        conduit: ConduitProfile,
+        now: float,
+        stride_bytes: int | None = None,
+    ) -> TransferTiming:
+        """Price ``count`` identical native strided puts; final timing."""
+        return self.batch_pricer(
+            "iput", src, dst, count=count, conduit=conduit,
+            nelems=nelems, elem_size=elem_size, stride_bytes=stride_bytes,
+        )(now)
+
+    def iget_batch(
+        self,
+        src: int,
+        dst: int,
+        nelems: int,
+        elem_size: int,
+        count: int,
+        conduit: ConduitProfile,
+        now: float,
+        stride_bytes: int | None = None,
+    ) -> float:
+        """Price ``count`` identical native strided gets; final completion."""
+        return self.batch_pricer(
+            "iget", src, dst, count=count, conduit=conduit,
+            nelems=nelems, elem_size=elem_size, stride_bytes=stride_bytes,
+        )(now)
 
     # -- uncontended (closed-form) pricing -----------------------------
     #

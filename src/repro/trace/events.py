@@ -146,7 +146,7 @@ def offsets_footprint(offsets: np.ndarray, elem_size: int) -> tuple:
 def resolve_footprint(fp: tuple) -> tuple:
     """Materialize a deferred footprint descriptor.
 
-    The vectorized data plane records footprints as cheap descriptors
+    The data plane records footprints as cheap descriptors
     instead of computing the merged interval list inside the hot loop —
     a tuple whose first element is a string tag (real footprints start
     with an ``(offset, length)`` tuple, so the two cannot collide):

@@ -1,4 +1,4 @@
-"""Smoke tests for the wall-clock benchmark of the batched RMA engine."""
+"""Smoke tests for the threaded-vs-process wall-clock benchmark."""
 
 import json
 
@@ -8,51 +8,45 @@ from repro.bench import wallclock
 from repro.bench.harness import UHCAF_CRAY_SHMEM_NAIVE
 
 
-def test_small_instance_matches_unbatched_oracle():
-    """Stats counters and virtual clocks of a small naive-section run
-    are identical with batching on and off."""
-    case = wallclock.naive_section_case(quick=True)
-    assert case.stats_identical
-    assert case.virtual_identical
-    assert case.batched_s > 0 and case.unbatched_s > 0
-    # the quick instance is too small to promise a speedup, only sanity
-    assert case.speedup > 0
-
-
 def test_fingerprints_report_logical_call_counts():
-    """The naive policy still counts one putmem per selected element."""
+    """The naive policy still counts one putmem per selected element,
+    on every image of the ring."""
     shape, key = (20, 16, 20), np.s_[0:20:2, 0:16:2, 0:20:4]
-    res = wallclock._section_put_fingerprints(shape, key, UHCAF_CRAY_SHMEM_NAIVE)
-    initiator_stats = res[0][1]
-    assert initiator_stats["putmem_calls"] == 10 * 8 * 5
-    assert initiator_stats["put_elems"] == 10 * 8 * 5
-    # every non-initiator image issued nothing
-    assert all(not r[1] for r in res[1:])
+    res = wallclock._ring_section_fingerprints(
+        shape, key, UHCAF_CRAY_SHMEM_NAIVE, num_images=4
+    )
+    for _, stats, checksum in res:
+        assert stats["putmem_calls"] == 10 * 8 * 5
+        assert stats["put_elems"] == 10 * 8 * 5
+        assert checksum == 7.0 * 10 * 8 * 5  # the neighbour's assignment landed
 
 
 def test_write_json_document_shape(tmp_path):
     case = wallclock.WallclockCase(
         name="x",
         description="d",
-        batched_s=0.1,
-        unbatched_s=0.9,
-        speedup=9.0,
+        threaded_s=0.9,
+        procs_s=0.1,
+        procs_speedup=9.0,
         virtual_identical=True,
         stats_identical=True,
+        procs_identical=True,
     )
     out = wallclock.write_json([case], tmp_path / "BENCH_wallclock.json")
     doc = json.loads(out.read_text())
     assert doc["benchmark"] == "wallclock"
-    assert doc["cases"][0]["speedup"] == 9.0
+    assert doc["cases"][0]["procs_speedup"] == 9.0
     assert doc["cases"][0]["virtual_identical"] is True
     assert "x" in wallclock.render([case])
 
 
 def test_cli_quick_subset(tmp_path, capsys):
     out = tmp_path / "bw.json"
-    rc = wallclock.main(["--quick", "--cases", "2dim", "--out", str(out)])
+    rc = wallclock.main(
+        ["--quick", "--cases", "naive-procs", "--repeats", "1", "--out", str(out)]
+    )
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert [c["name"] for c in doc["cases"]] == ["2dim-sweep"]
+    assert [c["name"] for c in doc["cases"]] == ["naive-procs"]
     assert doc["cases"][0]["virtual_identical"] is True
-    assert "2dim-sweep" in capsys.readouterr().out
+    assert "naive-procs" in capsys.readouterr().out

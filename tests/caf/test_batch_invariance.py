@@ -1,21 +1,28 @@
-"""Virtual-time invariance of the batched RMA fast path.
+"""Virtual-time invariance of batched plan execution: the larger
+scenarios.
 
-Each scenario runs twice — batching on (default) and off (the
-``REPRO_NO_BATCH=1`` escape hatch) — and must produce *identical*
+Each scenario runs twice — the one data plane in ``src/`` and the
+per-call loops of :mod:`tests.caf.oracle` — and must produce *identical*
 virtual clocks, stats counters, and data.  Scenarios are restricted to
 deterministic schedules (single RMA initiator for inter-node traffic,
 or all-intra-node traffic, where no shared timeline ordering depends on
-the thread scheduler).
+the thread scheduler).  (``test_vector_invariance.py`` holds the random
+sections and the short-circuit paths.)
 """
 
 import numpy as np
 import pytest
 
 from repro import caf
-from repro.bench.harness import UHCAF_CRAY_SHMEM_2DIM
+from repro.bench.harness import (
+    UHCAF_CRAY_SHMEM_2DIM,
+    UHCAF_CRAY_SHMEM_NAIVE,
+    pair_partner,
+    pair_world_size,
+)
 from repro.bench.himeno import himeno_caf
-from repro.caf.runtime import current_runtime
 from repro.runtime.context import current
+from tests.caf.oracle import assert_identical, fingerprint, launch_two_ways, two_ways
 
 
 def _strided_roundtrip_kernel():
@@ -31,43 +38,12 @@ def _strided_roundtrip_kernel():
         a.on(tgt).put((slice(0, 40, 2), slice(0, 40, 4)), np.arange(200.0).reshape(20, 10))
         # big contiguous runs -> rendezvous-sized putmem batch
         a.on(tgt).put((slice(0, 40, 2), slice(None)), np.arange(800.0).reshape(20, 40))
-        got_lines = a.on(tgt).get((slice(1, 40, 3), slice(0, 40, 4)))
-        got_runs = a.on(tgt).get((slice(0, 40, 2), slice(None)))
+        got_lines = np.asarray(a.on(tgt).get((slice(1, 40, 3), slice(0, 40, 4))))
+        got_runs = np.asarray(a.on(tgt).get((slice(0, 40, 2), slice(None))))
     else:
         got_lines = got_runs = None
     caf.sync_all()
-    rt = current_runtime()
-    stats = {
-        k: v
-        for k, v in rt.my_stats.items()
-        if not k.startswith("plan_cache")  # cache warmth differs by design
-    }
-    return (
-        current().clock.now,
-        stats,
-        a.local.copy(),
-        None if got_lines is None else np.asarray(got_lines),
-        None if got_runs is None else np.asarray(got_runs),
-    )
-
-
-def _run(monkeypatch, batched, fn, **kw):
-    if batched:
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    return caf.launch(fn, **kw)
-
-
-def _assert_same(res_a, res_b):
-    for (ca, sa, la, gla, gra), (cb, sb, lb, glb, grb) in zip(res_a, res_b):
-        assert ca == cb  # virtual clock, bitwise
-        assert sa == sb  # stats counters
-        assert np.array_equal(la, lb)
-        assert (gla is None) == (glb is None)
-        if gla is not None:
-            assert np.array_equal(gla, glb)
-            assert np.array_equal(gra, grb)
+    return fingerprint(a.local.copy(), got_lines, got_runs)
 
 
 @pytest.mark.parametrize(
@@ -79,14 +55,12 @@ def _assert_same(res_a, res_b):
         ("gasnet", "naive"),
     ],
 )
-def test_strided_rma_virtual_time_invariant(monkeypatch, profile, strided):
+def test_strided_rma_virtual_time_invariant(profile, strided):
     kw = dict(num_images=17, machine="stampede", profile=profile, strided=strided)
-    batched = _run(monkeypatch, True, _strided_roundtrip_kernel, **kw)
-    oracle = _run(monkeypatch, False, _strided_roundtrip_kernel, **kw)
-    _assert_same(batched, oracle)
+    assert_identical(*launch_two_ways(_strided_roundtrip_kernel, **kw))
 
 
-def test_intra_node_rma_invariant(monkeypatch):
+def test_intra_node_rma_invariant():
     """All-images intra-node traffic (no shared timelines => still
     deterministic with many initiators)."""
 
@@ -100,21 +74,38 @@ def test_intra_node_rma_invariant(monkeypatch):
         caf.sync_all()
         got = a.on(nxt).get((slice(0, 12, 3), slice(0, 12, 2)))
         caf.sync_all()
-        rt = current_runtime()
-        stats = {k: v for k, v in rt.my_stats.items() if not k.startswith("plan_cache")}
-        return current().clock.now, stats, a.local.copy(), np.asarray(got), None
+        return fingerprint(a.local.copy(), np.asarray(got))
 
     kw = dict(num_images=4, machine="stampede", profile="cray-shmem", strided="2dim")
-    batched = _run(monkeypatch, True, kernel, **kw)
-    oracle = _run(monkeypatch, False, kernel, **kw)
-    for (ca, sa, la, ga, _), (cb, sb, lb, gb, _) in zip(batched, oracle):
-        assert ca == cb
-        assert sa == sb
-        assert np.array_equal(la, lb)
-        assert np.array_equal(ga, gb)
+    assert_identical(*launch_two_ways(kernel, **kw))
 
 
-def test_himeno_step_virtual_time_invariant(monkeypatch):
+def test_naive_section_matches_oracle():
+    """The paper's Section IV-C example, scaled down: a 10 x 8 x 5
+    section under the naive policy is 400 logical puts per assignment;
+    ten assignments from one inter-node initiator leave clocks, stats,
+    and the destination identical to 4000 individual ``putmem`` calls."""
+    shape, key = (20, 16, 20), np.s_[0:20:2, 0:16:2, 0:20:4]
+
+    def kernel():
+        a = caf.coarray(shape, np.float32)
+        a[...] = 0
+        caf.sync_all()
+        partner = pair_partner(current().pe, 1)
+        if partner is not None:
+            for _ in range(10):
+                a.on(partner + 1)[key] = 7
+        caf.sync_all()
+        return fingerprint(a.local.copy())
+
+    kw = dict(num_images=pair_world_size(1), machine="stampede",
+              **UHCAF_CRAY_SHMEM_NAIVE.launch_kwargs())
+    fast, oracle = launch_two_ways(kernel, **kw)
+    assert_identical(fast, oracle)
+    assert fast[0][1] == {"putmem_calls": 4000, "put_elems": 4000}
+
+
+def test_himeno_step_virtual_time_invariant():
     """One Himeno halo-exchange cadence, 4 images on one node: gosa,
     MFLOPS and elapsed virtual time must match bit-for-bit."""
     kw = dict(
@@ -124,10 +115,7 @@ def test_himeno_step_virtual_time_invariant(monkeypatch):
         grid=(17, 17, 17),
         iterations=2,
     )
-    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-    batched = himeno_caf(**kw)
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    oracle = himeno_caf(**kw)
-    assert batched.gosa == oracle.gosa
-    assert batched.elapsed_us == oracle.elapsed_us
-    assert batched.mflops == oracle.mflops
+    fast, oracle = two_ways(lambda: himeno_caf(**kw))
+    assert fast.gosa == oracle.gosa
+    assert fast.elapsed_us == oracle.elapsed_us
+    assert fast.mflops == oracle.mflops

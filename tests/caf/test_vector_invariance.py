@@ -1,62 +1,45 @@
-"""Bit-identity of the vectorized data plane against both oracles.
+"""Bit-identity of batched plan execution against the per-call oracle:
+random sections, inter-node profiles, and the short-circuit paths.
 
-Every workload runs three ways — full fast path (default), plain
-batched engine (``REPRO_NO_VECTOR=1``), and the per-call loop
-(``REPRO_NO_BATCH=1``) — and must produce identical virtual clocks,
-stats counters, local buffers, and fetched sections, bit for bit.
-A hypothesis property drives random shapes, slices, dtypes, and
-strided-translation policies through the comparison; the deterministic
-tests pin the short-circuit paths (zero-length and single-call plans)
-and the sanitizer on the fast path.
+Every workload runs two ways — the one data plane in ``src/`` and the
+per-call loops of :mod:`tests.caf.oracle` — and must produce identical
+virtual clocks, stats counters, local buffers, fetched sections, and
+trace footprints, bit for bit.  A hypothesis property drives random
+shapes, slices, dtypes, and strided-translation policies through the
+comparison; the deterministic tests pin the short-circuit paths
+(zero-length and single-call plans) and the sanitizer on the deferred
+footprints.  (``test_batch_invariance.py`` holds the larger scenarios:
+17-image round trips, all-initiator intra-node traffic, Himeno.)
 """
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import caf
 from repro.caf.runtime import current_runtime
 from repro.runtime.context import current
-
-_FLAGS = ("REPRO_NO_BATCH", "REPRO_NO_VECTOR")
-
-
-@contextmanager
-def _mode(no_batch=False, no_vector=False):
-    saved = {f: os.environ.pop(f, None) for f in _FLAGS}
-    try:
-        if no_batch:
-            os.environ["REPRO_NO_BATCH"] = "1"
-        if no_vector:
-            os.environ["REPRO_NO_VECTOR"] = "1"
-        yield
-    finally:
-        for f in _FLAGS:
-            os.environ.pop(f, None)
-            if saved[f] is not None:
-                os.environ[f] = saved[f]
-
-
-def _run_three_ways(fn, **kw):
-    with _mode():
-        fast = caf.launch(fn, **kw)
-    with _mode(no_vector=True):
-        novector = caf.launch(fn, **kw)
-    with _mode(no_batch=True):
-        oracle = caf.launch(fn, **kw)
-    return fast, novector, oracle
+from tests.caf.oracle import (
+    assert_identical,
+    fingerprint,
+    launch_two_ways,
+    touched,
+    traced_launch,
+    two_ways,
+)
 
 
 def _section_kernel(shape, key, dtype_name):
-    """Image 1 writes a deterministic pattern to the section on image 2,
-    reads it back, and every image fingerprints its state."""
+    """Image 1 writes deterministic patterns to the section on image 2
+    and reads them back, alternating between two same-shape coarrays —
+    both accesses hit one cached ``BatchSpec``, so its single-slot index
+    memo is rebuilt for the other base offset every time."""
     dtype = np.dtype(dtype_name)
     a = caf.coarray(shape, dtype)
+    b = caf.coarray(shape, dtype)
     a[...] = 0
+    b[...] = 0
     caf.sync_all()
     got = None
     if caf.this_image() == 1:
@@ -64,29 +47,12 @@ def _section_kernel(shape, key, dtype_name):
         n = int(np.prod(sel_shape))
         data = (np.arange(n) % 97).reshape(sel_shape).astype(dtype)
         a.on(2)[key] = data
-        got = np.asarray(a.on(2)[key])
+        b.on(2)[key] = data + 1
+        got = (np.asarray(a.on(2)[key]), np.asarray(b.on(2)[key]))
+        a.on(2)[key] = data + 2
+        got += (np.asarray(a.on(2)[key]),)
     caf.sync_all()
-    stats = {
-        k: v
-        for k, v in current_runtime().my_stats.items()
-        if not k.startswith("plan_cache")
-    }
-    return (
-        current().clock.now,
-        stats,
-        a.local.copy(),
-        got,
-    )
-
-
-def _assert_identical(results_a, results_b):
-    for (ca, sa, la, ga), (cb, sb, lb, gb) in zip(results_a, results_b):
-        assert ca == cb  # virtual clock, bitwise
-        assert sa == sb  # stats counters
-        assert la.tobytes() == lb.tobytes()  # destination bytes
-        assert (ga is None) == (gb is None)
-        if ga is not None:
-            assert ga.tobytes() == gb.tobytes()
+    return fingerprint(a.local.copy(), b.local.copy(), got)
 
 
 @st.composite
@@ -99,29 +65,52 @@ def sections(draw):
         stop = draw(st.integers(start, d))  # may be empty
         step = draw(st.integers(1, 3))
         key.append(slice(start, stop, step))
-    dtype_name = draw(st.sampled_from(["u1", "i2", "f4", "f8", "i8"]))
+    # c16 has no reinterpret-cast view: the byte-expanded index branch.
+    dtype_name = draw(st.sampled_from(["u1", "i2", "f4", "f8", "i8", "c16"]))
     policy = draw(st.sampled_from(["naive", "2dim", "alldim", "lastdim", "auto"]))
     return shape, tuple(key), dtype_name, policy
 
 
+# Every draw is a small plan (at most 9**3 = 729 elements, nearly all
+# under 512).  The pinned examples are multi-call plans of 1 < n < 512
+# elements: an aligned-view index and a byte-expanded one (line plans
+# and per-element run plans each).
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sections())
+@example(((8, 8), (slice(0, 8, 2), slice(1, 8, 3)), "f8", "2dim"))
+@example(((8, 8), (slice(0, 8, 2), slice(1, 8, 3)), "c16", "2dim"))
+@example(((6, 5, 4), (slice(0, 6, 2), slice(0, 5), slice(1, 4, 2)), "c16", "naive"))
+@example(((9, 7), (slice(1, 9, 3), slice(0, 7, 2)), "i2", "naive"))
 def test_random_sections_bit_identical(params):
     shape, key, dtype_name, policy = params
     kw = dict(
         num_images=2,
-        machine="stampede",
         profile="cray-shmem",
         strided=policy,
         args=(shape, key, dtype_name),
     )
-    fast, novector, oracle = _run_three_ways(_section_kernel, **kw)
-    _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
+    (fast, fast_trace), (oracle, oracle_trace) = two_ways(
+        lambda: traced_launch(_section_kernel, **kw)
+    )
+    assert_identical(fast, oracle)
+    assert touched(fast_trace) == touched(oracle_trace)
+
+
+def test_oracle_issues_one_record_per_call(per_call_oracle):
+    """The comparison is not vacuous: under the oracle a multi-call plan
+    really is traced as one record per library call."""
+    shape, key = (8, 8), (slice(0, 8, 2), slice(1, 8, 3))
+    _, tracer = traced_launch(
+        _section_kernel, 2, profile="cray-shmem", strided="2dim",
+        args=(shape, key, "f8"),
+    )
+    mine = [ev for ev in tracer.events[0] if ev.op in ("iput", "iget")]
+    assert mine and all(ev.calls == 1 for ev in mine)
+    assert len(mine) == 3 * (3 + 3)  # 3 lines of 4 elements x (3 puts + 3 gets)
 
 
 @pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem", "gasnet"])
@@ -139,17 +128,10 @@ def test_inter_node_sections_bit_identical(profile):
             a.on(tgt)[1:15:2, 0:12:3] = np.arange(28.0).reshape(7, 4)
             got = np.asarray(a.on(tgt)[0:16:3, 2:11:2])
         caf.sync_all()
-        stats = {
-            k: v
-            for k, v in current_runtime().my_stats.items()
-            if not k.startswith("plan_cache")
-        }
-        return current().clock.now, stats, a.local.copy(), got
+        return fingerprint(a.local.copy(), got)
 
     kw = dict(num_images=17, machine="stampede", profile=profile, strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
-    _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
+    assert_identical(*launch_two_ways(kernel, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +152,17 @@ def test_zero_length_section_is_free_and_identical():
             assert got.shape == (0, 5)
             assert current().clock.now == before  # nothing priced
         caf.sync_all()
-        stats = {
-            k: v
-            for k, v in current_runtime().my_stats.items()
-            if not k.startswith("plan_cache")
-        }
-        return current().clock.now, stats, a.local.copy(), got
+        return fingerprint(a.local.copy(), got)
 
     kw = dict(num_images=2, machine="stampede", profile="cray-shmem", strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
-    _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
+    assert_identical(*launch_two_ways(kernel, **kw))
 
 
 @pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem"])
 def test_single_call_plans_bit_identical(profile):
     """Single-line and single-run plans take the scalar short-circuit
-    (no index arrays); timing, stats, and data must still match both
-    oracles exactly."""
+    (no batch machinery); timing, stats, and data must still match the
+    oracle exactly."""
 
     def kernel():
         a = caf.coarray((12, 12), np.float64)
@@ -204,25 +179,10 @@ def test_single_call_plans_bit_identical(profile):
                 float(a.on(2)[3, 5]),
             )
         caf.sync_all()
-        stats = {
-            k: v
-            for k, v in current_runtime().my_stats.items()
-            if not k.startswith("plan_cache")
-        }
-        return current().clock.now, stats, a.local.copy(), got
+        return fingerprint(a.local.copy(), got)
 
     kw = dict(num_images=2, machine="stampede", profile=profile, strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
-    for (ca, sa, la, ga), (cb, sb, lb, gb) in zip(fast, oracle):
-        assert ca == cb and sa == sb and la.tobytes() == lb.tobytes()
-        if ga is not None:
-            assert ga[0].tobytes() == gb[0].tobytes()
-            assert ga[1].tobytes() == gb[1].tobytes()
-            assert ga[2] == gb[2]
-    _assert_identical(
-        [(c, s, l, None) for c, s, l, _ in fast],
-        [(c, s, l, None) for c, s, l, _ in novector],
-    )
+    assert_identical(*launch_two_ways(kernel, **kw))
 
 
 def test_single_call_stats_counts():
@@ -259,9 +219,9 @@ def test_single_call_stats_counts():
 
 
 def test_sanitizer_passes_on_fast_path():
-    """capture_sync tracing on the vectorized path records deferred
-    footprint descriptors; the happens-before sanitizer must see them
-    fully materialized and find nothing wrong in a clean program."""
+    """capture_sync tracing records deferred footprint descriptors; the
+    happens-before sanitizer must see them fully materialized and find
+    nothing wrong in a clean program."""
 
     def kernel():
         a = caf.coarray((16, 16), np.float64)
@@ -276,10 +236,9 @@ def test_sanitizer_passes_on_fast_path():
         caf.sync_all()
         return True
 
-    with _mode():  # explicit: fast path on
-        assert all(
-            caf.launch(
-                kernel, 2, "stampede",
-                profile="cray-shmem", strided="2dim", sanitize=True,
-            )
+    assert all(
+        caf.launch(
+            kernel, 2, "stampede",
+            profile="cray-shmem", strided="2dim", sanitize=True,
         )
+    )

@@ -1,13 +1,18 @@
-"""Bit-identity of memoized pricing closures vs the plain methods.
+"""The pricers reproduce the golden price table to the last bit.
 
-The vectorized data plane prices through closures returned by
-``put_pricer``/``get_pricer``/``iput_pricer``/``iget_pricer``/
-``amo_pricer``/``batch_pricer``.  A pricer must return exactly what the
-corresponding method returns — same floats to the last ULP — and must
-leave every resource timeline in exactly the same state, because the
-virtual timestamps downstream are compared bitwise against the
-``REPRO_NO_VECTOR=1`` oracle.
+The pricer factories (``put_pricer``/``get_pricer``/``iput_pricer``/
+``iget_pricer``/``amo_pricer``/``batch_pricer``) are the one
+implementation of every closed-form price; the direct methods
+(``put``, ``put_batch``, ...) are views of them.  ``golden_prices.json``
+holds what the direct methods returned — ``float.hex()`` of every
+result and the final state of every resource timeline — *before* they
+became delegations (written by ``gen_golden_prices.py``), so a pricer
+that drifts by one ULP, or leaves a timeline in a different state,
+fails here.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -16,87 +21,164 @@ from repro.sim.netmodel import NetworkModel, get_conduit
 from repro.sim.topology import Topology
 
 NOW = 7.91287310001  # deliberately un-round starting clock
+GOLDEN_PATH = Path(__file__).with_name("golden_prices.json")
+
+PAIRS = [(0, 1), (0, 17), (20, 40)]  # same-node and two inter-node pairs
+CONDUITS = ["cray-shmem", "gasnet", "mpi3"]
+SIZES = [1, 8, 4096, 100_000]
+STRIDES = [8, 256, None]
+COUNTS = [1, 2, 50]
+BATCH_OPS = [
+    ("put", {"nbytes": 8}),
+    ("put", {"nbytes": 100_000}),  # rendezvous branch
+    ("get", {"nbytes": 64}),
+    ("iput", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
+    ("iget", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
+]
 
 
 def fresh_model(num_pes=48):
-    return NetworkModel(Topology(MACHINES["stampede"], num_pes))
-
-
-def timeline_state(model):
-    return {
-        name: [(t.next_free, t.busy_time, t.reservations) for t in tls]
-        for name, tls in model.timelines().items()
-    }
-
-
-def preload(model):
-    """Backlog pressure so reservations queue rather than start free."""
+    """A model with backlog pressure, so reservations queue rather than
+    start free."""
+    model = NetworkModel(Topology(MACHINES["stampede"], num_pes))
     tls = model.timelines()
     for node in (0, 1, 2):
         tls["tx"][node].reserve(0.0, 13.37)
         tls["rx"][node].reserve(0.0, 29.1)
         tls["amo"][node].reserve(0.0, 3.21)
         tls["cpu"][node].reserve(0.0, 5.5)
+    return model
 
 
-PAIRS = [(0, 1), (0, 17), (20, 40)]  # same-node and two inter-node pairs
-CONDUITS = ["cray-shmem", "gasnet", "mpi3"]
+def _sizes(op, kw):
+    return (kw["nbytes"],) if op in ("put", "get") else (kw["nelems"], kw["elem_size"])
 
 
-@pytest.mark.parametrize("src,dst", PAIRS)
-@pytest.mark.parametrize("conduit_name", CONDUITS)
-@pytest.mark.parametrize("nbytes", [1, 8, 4096, 100_000])
-def test_put_get_pricers_bitwise(src, dst, conduit_name, nbytes):
-    conduit = get_conduit(conduit_name)
-    direct, priced = fresh_model(), fresh_model()
-    preload(direct), preload(priced)
-    now = NOW
+def price_direct(model, op, src, dst, conduit, now, count=None, **kw):
+    """One price through the direct methods (the golden generator's view)."""
+    if op == "amo":
+        return model.amo(src, dst, conduit, now)
+    extra = {} if op in ("put", "get") else {"stride_bytes": kw.get("stride_bytes")}
+    if count is None:
+        return getattr(model, op)(src, dst, *_sizes(op, kw), conduit, now, **extra)
+    return getattr(model, op + "_batch")(
+        src, dst, *_sizes(op, kw), count, conduit, now, **extra
+    )
+
+
+def price_pricer(model, op, src, dst, conduit, now, count=None, **kw):
+    """The same price through the pricer factories."""
+    if op == "amo":
+        return model.amo_pricer(src, dst, conduit)[0](now)
+    if count is not None:
+        return model.batch_pricer(op, src, dst, count=count, conduit=conduit, **kw)(now)
+    extra = () if op in ("put", "get") else (kw.get("stride_bytes"),)
+    return getattr(model, op + "_pricer")(src, dst, *_sizes(op, kw), conduit, *extra)(now)
+
+
+def _hex(result):
+    if isinstance(result, float):
+        return [result.hex()]
+    return [result.local_complete.hex(), result.remote_complete.hex()]
+
+
+def _record(model, results):
+    """Results plus the final ``(next_free, busy_time, reservations)``
+    of every timeline, in the JSON's shape."""
+    return {
+        "results": [h for r in results for h in _hex(r)],
+        "timelines": {
+            name: [[t.next_free.hex(), t.busy_time.hex(), t.reservations] for t in tls]
+            for name, tls in model.timelines().items()
+        },
+    }
+
+
+def put_get_case(price, src, dst, conduit_name, nbytes):
+    conduit, model, now, out = get_conduit(conduit_name), fresh_model(), NOW, []
     for _ in range(3):  # repeat: queueing state must track exactly
-        t_direct = direct.put(src, dst, nbytes, conduit, now)
-        t_priced = priced.put_pricer(src, dst, nbytes, conduit)(now)
-        assert t_direct == t_priced
-        g_direct = direct.get(src, dst, nbytes, conduit, now)
-        g_priced = priced.get_pricer(src, dst, nbytes, conduit)(now)
-        assert g_direct == g_priced
-        now = max(now, t_direct.local_complete, g_direct)
-    assert timeline_state(direct) == timeline_state(priced)
+        timing = price(model, "put", src, dst, conduit, now, nbytes=nbytes)
+        done = price(model, "get", src, dst, conduit, now, nbytes=nbytes)
+        out += [timing, done]
+        now = max(now, timing.local_complete, done)
+    return _record(model, out)
 
 
-@pytest.mark.parametrize("src,dst", PAIRS)
-@pytest.mark.parametrize("stride_bytes", [8, 256, None])
-def test_strided_pricers_bitwise(src, dst, stride_bytes):
-    conduit = get_conduit("cray-shmem")  # iput-native
-    direct, priced = fresh_model(), fresh_model()
-    preload(direct), preload(priced)
-    now = NOW
+def strided_case(price, src, dst, stride_bytes):
+    conduit, model, now, out = get_conduit("cray-shmem"), fresh_model(), NOW, []
     for nelems in (1, 7, 400):
-        t_direct = direct.iput(src, dst, nelems, 8, conduit, now, stride_bytes=stride_bytes)
-        t_priced = priced.iput_pricer(src, dst, nelems, 8, conduit, stride_bytes)(now)
-        assert t_direct == t_priced
-        g_direct = direct.iget(src, dst, nelems, 8, conduit, now, stride_bytes=stride_bytes)
-        g_priced = priced.iget_pricer(src, dst, nelems, 8, conduit, stride_bytes)(now)
-        assert g_direct == g_priced
-        now = max(now, t_direct.local_complete, g_direct)
-    assert timeline_state(direct) == timeline_state(priced)
+        kw = dict(nelems=nelems, elem_size=8, stride_bytes=stride_bytes)
+        timing = price(model, "iput", src, dst, conduit, now, **kw)
+        done = price(model, "iget", src, dst, conduit, now, **kw)
+        out += [timing, done]
+        now = max(now, timing.local_complete, done)
+    return _record(model, out)
+
+
+def amo_case(price, src, dst, conduit_name):
+    conduit, model, now, out = get_conduit(conduit_name), fresh_model(), NOW, []
+    for _ in range(4):
+        done = price(model, "amo", src, dst, conduit, now)
+        out.append(done)
+        now = max(now, done) + 0.503
+    return _record(model, out)
+
+
+def batch_case(price, src, dst, count, op, kw):
+    model = fresh_model()
+    conduit = get_conduit("cray-shmem")
+    return _record(model, [price(model, op, src, dst, conduit, NOW, count=count, **kw)])
+
+
+def golden_table(price):
+    """Every grid point's record, keyed the way the tests look it up."""
+    table = {}
+    for src, dst in PAIRS:
+        for c in CONDUITS:
+            for n in SIZES:
+                table[f"put_get/{src}-{dst}/{c}/{n}"] = put_get_case(price, src, dst, c, n)
+            table[f"amo/{src}-{dst}/{c}"] = amo_case(price, src, dst, c)
+        for s in STRIDES:
+            table[f"strided/{src}-{dst}/{s}"] = strided_case(price, src, dst, s)
+        for count in COUNTS:
+            for i, (op, kw) in enumerate(BATCH_OPS):
+                table[f"batch/{src}-{dst}/{count}/{op}{i}"] = batch_case(
+                    price, src, dst, count, op, kw
+                )
+    return table
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 @pytest.mark.parametrize("src,dst", PAIRS)
 @pytest.mark.parametrize("conduit_name", CONDUITS)
-def test_amo_pricer_bitwise(src, dst, conduit_name):
-    conduit = get_conduit(conduit_name)
-    direct, priced = fresh_model(), fresh_model()
-    preload(direct), preload(priced)
-    price, proc, back = priced.amo_pricer(src, dst, conduit)
-    now = NOW
-    for _ in range(4):
-        d = direct.amo(src, dst, conduit, now)
-        p = price(now)
-        assert d == p
-        now = max(now, d) + 0.503
-    assert timeline_state(direct) == timeline_state(priced)
-    # proc/back must equal the constants the causality branch re-derives
-    m = direct._machine
-    if direct.topology.same_node(src, dst):
+@pytest.mark.parametrize("nbytes", SIZES)
+def test_put_get_pricers_bitwise(golden, src, dst, conduit_name, nbytes):
+    got = put_get_case(price_pricer, src, dst, conduit_name, nbytes)
+    assert got == golden[f"put_get/{src}-{dst}/{conduit_name}/{nbytes}"]
+
+
+@pytest.mark.parametrize("src,dst", PAIRS)
+@pytest.mark.parametrize("stride_bytes", STRIDES)
+def test_strided_pricers_bitwise(golden, src, dst, stride_bytes):
+    got = strided_case(price_pricer, src, dst, stride_bytes)
+    assert got == golden[f"strided/{src}-{dst}/{stride_bytes}"]
+
+
+@pytest.mark.parametrize("src,dst", PAIRS)
+@pytest.mark.parametrize("conduit_name", CONDUITS)
+def test_amo_pricer_bitwise(golden, src, dst, conduit_name):
+    assert amo_case(price_pricer, src, dst, conduit_name) == golden[
+        f"amo/{src}-{dst}/{conduit_name}"
+    ]
+    # proc/back must equal the constants of the causality adjustment
+    conduit, model = get_conduit(conduit_name), fresh_model()
+    _, proc, back = model.amo_pricer(src, dst, conduit)
+    m = model._machine
+    if model.topology.same_node(src, dst):
         assert (proc, back) == (m.amo_process_us, m.intra_latency_us)
     elif conduit.amo_offload:
         assert (proc, back) == (m.amo_process_us, m.link_latency_us)
@@ -107,42 +189,18 @@ def test_amo_pricer_bitwise(src, dst, conduit_name):
         )
 
 
-def seq_batch(model, op, src, dst, count, conduit, now, **kw):
-    if op == "put":
-        return model.put_batch(src, dst, kw["nbytes"], count, conduit, now)
-    if op == "get":
-        return model.get_batch(src, dst, kw["nbytes"], count, conduit, now)
-    if op == "iput":
-        return model.iput_batch(
-            src, dst, kw["nelems"], kw["elem_size"], count, conduit, now,
-            stride_bytes=kw.get("stride_bytes"),
-        )
-    return model.iget_batch(
-        src, dst, kw["nelems"], kw["elem_size"], count, conduit, now,
-        stride_bytes=kw.get("stride_bytes"),
-    )
-
-
 @pytest.mark.parametrize("src,dst", PAIRS)
-@pytest.mark.parametrize("count", [1, 2, 50])
-@pytest.mark.parametrize(
-    "op,kw",
-    [
-        ("put", {"nbytes": 8}),
-        ("put", {"nbytes": 100_000}),  # rendezvous branch
-        ("get", {"nbytes": 64}),
-        ("iput", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
-        ("iget", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
-    ],
-)
-def test_batch_pricer_bitwise(src, dst, count, op, kw):
-    conduit = get_conduit("cray-shmem")
-    direct, priced = fresh_model(), fresh_model()
-    preload(direct), preload(priced)
-    d = seq_batch(direct, op, src, dst, count, conduit, NOW, **kw)
-    p = priced.batch_pricer(op, src, dst, count=count, conduit=conduit, **kw)(NOW)
-    assert d == p
-    assert timeline_state(direct) == timeline_state(priced)
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("op,kw", BATCH_OPS)
+def test_batch_pricer_bitwise(golden, src, dst, count, op, kw):
+    i = BATCH_OPS.index((op, kw))
+    got = batch_case(price_pricer, src, dst, count, op, kw)
+    assert got == golden[f"batch/{src}-{dst}/{count}/{op}{i}"]
+
+
+def test_direct_methods_are_views_of_the_pricers(golden):
+    """The delegating direct methods read the same table."""
+    assert golden_table(price_direct) == golden
 
 
 def test_pricer_cache_reuses_closures():
