@@ -1,8 +1,8 @@
 """Command-line figure runner: ``python -m repro.bench [target ...]``.
 
-Targets: ``tables``, ``fig2`` ... ``fig10``, ``wallclock``,
-``kvservice``, or ``all``.  Add ``--full`` for the paper-scale sweeps
-(minutes of wall time) instead of the quick CI-sized ones.  Every
+Targets: ``tables``, ``fig2`` ... ``fig10``, ``kvservice``, or
+``all``.  Add ``--full`` for the paper-scale sweeps (minutes of wall
+time) instead of the quick CI-sized ones.  Every
 target reports the host wall-clock seconds it took alongside its
 virtual-time results, so perf changes are measurable from one run.
 """
@@ -17,7 +17,7 @@ from repro.bench import figures
 
 TARGETS = (
     "tables", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "wallclock", "kvservice",
+    "kvservice",
 )
 
 
@@ -73,13 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         if target == "tables":
             _render(figures.tables())
-        elif target == "wallclock":
-            from repro.bench import wallclock
-
-            results = wallclock.run_suite(quick=quick)
-            print(wallclock.render(results))
-            print(f"\nwrote {wallclock.write_json(results, 'BENCH_wallclock.json')}")
-            print()
         elif target == "kvservice":
             from repro.bench import kvservice
 

@@ -41,13 +41,11 @@ Results land in the ``collectives`` section of ``BENCH_wallclock.json``
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.bench.harness import host_info
+from repro.bench.harness import host_info, update_bench_json
 from repro.collectives import selector_for, team_reduce_step
 from repro.collectives.comm import get_team_comm
 from repro.collectives.select import REDUCE_ALGORITHMS
@@ -225,19 +223,8 @@ def check_hier_beats_binomial(
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing / CLI
+# CLI
 # ---------------------------------------------------------------------------
-
-
-def update_bench_json(path: str | Path, section: dict) -> Path:
-    """Merge the ``collectives`` section into the wallclock JSON."""
-    path = Path(path)
-    doc = json.loads(path.read_text()) if path.exists() else {
-        "benchmark": "wallclock", "cases": [],
-    }
-    doc["collectives"] = section
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
 
 
 def main(argv=None) -> int:
@@ -308,7 +295,7 @@ def main(argv=None) -> int:
                 "multi-node shape at 1024+ PEs"
             )
     if ns.out:
-        path = update_bench_json(ns.out, section)
+        path = update_bench_json(ns.out, "collectives", section)
         print(f"collectives section written to {path}")
     return rc
 

@@ -7,6 +7,7 @@
 * :class:`BenchFigure` — a collected figure: labeled series over a
   common x-axis, renderable as the table a figure's plot encodes.
 * :func:`host_info` — cores / Python / numpy stamp for wall-clock rows.
+* :func:`update_bench_json` — merge one section into a ledger JSON.
 * Pair-placement helpers for the "N pairs across two nodes" layout the
   microbenchmarks use (members of a pair are always on different
   nodes, paper Section III).
@@ -14,9 +15,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -117,6 +120,15 @@ def host_info() -> dict[str, Any]:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def update_bench_json(path: str | Path, name: str, section: dict) -> Path:
+    """Merge ``section`` into the ledger JSON at ``path`` under ``name``."""
+    path = Path(path)
+    doc = json.loads(path.read_text()) if path.exists() else {"benchmark": "wallclock"}
+    doc[name] = section
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return path
 
 
 def pair_world_size(pairs: int, cores_per_node: int = 16) -> int:

@@ -40,18 +40,17 @@ bitwise), then merges a ``kvservice`` section into
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro import caf
 from repro.bench.dht import ReplicatedHashTable, _mix
+from repro.bench.harness import update_bench_json
 from repro.bench.kvhistory import Recorder
 from repro.runtime.context import current
 
@@ -567,17 +566,6 @@ def run_suite(*, quick: bool = False, seed: int = 2015, images: int = 4,
     return section
 
 
-def update_bench_json(path: str | Path, section: dict) -> Path:
-    """Merge the ``kvservice`` section into the wallclock JSON in place."""
-    path = Path(path)
-    doc = json.loads(path.read_text()) if path.exists() else {
-        "benchmark": "wallclock", "cases": [],
-    }
-    doc["kvservice"] = section
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.kvservice",
@@ -598,7 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     section = run_suite(quick=args.quick, seed=args.seed, images=args.images,
                         machine=args.machine, gate=not args.no_gate)
-    out = update_bench_json(args.out, section)
+    out = update_bench_json(args.out, "kvservice", section)
     for cell in section["cells"]:
         lat = cell["latency_us"]
         print(f"zipf={cell['zipf_s']:<4} mix={cell['mix']:<11} "

@@ -106,14 +106,6 @@ def generate_report(
     for target in targets:
         lines.append(f"## {target}")
         lines.append("")
-        if target == "wallclock":
-            from repro.bench import wallclock
-
-            lines.append("```")
-            lines.append(wallclock.render(wallclock.run_suite(quick=quick)))
-            lines.append("```")
-            lines.append("")
-            continue
         if target == "kvservice":
             from repro.bench import kvservice
 

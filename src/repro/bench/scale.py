@@ -53,7 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.bench.harness import host_info
+from repro.bench.harness import host_info, update_bench_json
 from repro.engine.steps import BarrierStep, Done, alloc_array_step
 from repro.explore.harness import trace_digest
 from repro.runtime.context import current
@@ -325,19 +325,8 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing + regression gate
+# Regression gate
 # ---------------------------------------------------------------------------
-
-
-def update_bench_json(path: str | Path, section: dict) -> Path:
-    """Merge the ``scale`` section into the wallclock JSON in place."""
-    path = Path(path)
-    doc = json.loads(path.read_text()) if path.exists() else {
-        "benchmark": "wallclock", "cases": [],
-    }
-    doc["scale"] = section
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
 
 
 def check_regression(
@@ -446,7 +435,7 @@ def main(argv=None) -> int:
         )
     section["flatness"] = ratios = flatness(records)
     if ns.out:
-        path = update_bench_json(ns.out, section)
+        path = update_bench_json(ns.out, "scale", section)
         print(f"scale section written to {path}")
     rc = 0
     for workload, ratio in ratios.items():

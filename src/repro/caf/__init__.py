@@ -65,7 +65,7 @@ from repro.runtime.failures import (
     STAT_STOPPED_IMAGE,
     ImageFailedError,
 )
-from repro.runtime.launcher import Job
+from repro.runtime.launcher import DEFAULT_HEAP_BYTES, Job
 from repro.util.bitpack import RemotePointer, pack_remote_pointer, unpack_remote_pointer
 
 __all__ = [
@@ -184,8 +184,8 @@ def launch(
     deterministic cooperative scheduler
     (:class:`~repro.explore.Scheduler`): one strategy seed, one exact
     interleaving.  ``engine`` selects the execution engine
-    (``"threaded"``/``"event"`` or an :class:`~repro.engine.Engine`
-    instance; see :mod:`repro.engine`).
+    (``"threaded"``/``"event"``/``"cooperative"`` or an
+    :class:`~repro.engine.Engine` instance; see :mod:`repro.engine`).
     ``survivable=True`` enables the Fortran-2018 failed-images model: an
     injected crash marks the image *failed* instead of aborting the job;
     survivors keep running, ``failed_images()``/``image_status()``
@@ -194,18 +194,16 @@ def launch(
     :class:`~repro.runtime.failures.ImageFailedError`.
     Returns the per-image return values of ``fn``.
     """
-    job_kwargs: dict[str, Any] = {} if heap_bytes is None else {"heap_bytes": heap_bytes}
-    if faults is not None:
-        job_kwargs["faults"] = faults
-    if watchdog_s is not None:
-        job_kwargs["watchdog_s"] = watchdog_s
-    if scheduler is not None:
-        job_kwargs["scheduler"] = scheduler
-    if engine is not None:
-        job_kwargs["engine"] = engine
-    if survivable:
-        job_kwargs["survivable"] = True
-    job = Job(num_images, machine, **job_kwargs)
+    job = Job(
+        num_images,
+        machine,
+        heap_bytes=DEFAULT_HEAP_BYTES if heap_bytes is None else heap_bytes,
+        faults=faults,
+        watchdog_s=watchdog_s,
+        scheduler=scheduler,
+        engine=engine,
+        survivable=survivable,
+    )
     rt_kwargs: dict[str, Any] = {
         "backend": backend,
         "profile": profile,
@@ -229,12 +227,7 @@ def launch(
         rt.startup()
         return fn(*a, **kw)
 
-    try:
-        results = job.run(spmd_main, args=args, kwargs=kwargs or {})
-    finally:
-        # One-shot job: release engine-held resources (shared-memory
-        # segments on engine="process") deterministically.
-        job.engine.cleanup()
+    results = job.run(spmd_main, args=args, kwargs=kwargs or {})
     if tracer is not None:
         from repro.trace.sanitizer import OrderingViolation, check_tracer
 

@@ -13,10 +13,7 @@ The heavy lifting lives in :mod:`repro.collectives`: the runtime maps
 the current team onto a :class:`~repro.collectives.comm.TeamComm` and
 the algorithm (binomial tree, recursive doubling, ring, hierarchical
 two-level, or flat linear) is chosen per call by the topology-aware
-cost model — or forced via ``REPRO_COLLECTIVE``.  On ``engine='process'``
-the runtime falls back to the historical barrier-synchronized binomial
-tree: the library's shared comm state (like CAF teams themselves) lives
-in genuinely shared Python objects.
+cost model — or forced via ``REPRO_COLLECTIVE``.
 
 ``co_sum(a)`` leaves the result on every image; ``co_sum(a,
 result_image=j)`` only guarantees it on image ``j`` (other images'
@@ -47,10 +44,6 @@ def _check_array(arr) -> None:
         raise TypeError("CAF collectives operate on NumPy arrays in place")
 
 
-def _use_direct(rt: CafRuntime) -> bool:
-    return bool(getattr(rt.job.engine, "cross_process", False))
-
-
 def _root_rank_in(rt: CafRuntime, pes, image: int, op_name: str) -> int:
     """Rank of a 1-based (team-relative) image within the (possibly
     survivor-filtered) member list; a failed root raises
@@ -62,86 +55,6 @@ def _root_rank_in(rt: CafRuntime, pes, image: int, op_name: str) -> int:
         from repro.runtime.failures import raise_image_failed
 
         raise_image_failed(current(), op_name, root_pe, rt.job.failed, rt.job.tracer)
-
-
-def _tree_reduce_direct(
-    rt: CafRuntime,
-    arr: np.ndarray,
-    op: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    result_image: int | None,
-    pes: tuple[int, ...],
-) -> None:
-    """Barrier-synchronized binomial reduction (process-engine path)."""
-    ctx = current()
-    n = len(pes)
-    rank = pes.index(ctx.pe)
-    scratch = rt.alloc_symmetric((max(arr.size, 1),), arr.dtype)
-    try:
-        scratch.local.reshape(-1)[: arr.size] = arr.reshape(-1)
-        rt.barrier()
-        # Reduce toward rank 0: at round k, ranks aligned to 2^(k+1)
-        # pull from their partner 2^k away (1-sided gets).
-        step = 1
-        while step < n:
-            if rank % (2 * step) == 0 and rank + step < n:
-                data = rt.layer.get(scratch, arr.size, pes[rank + step])
-                combined = op(scratch.local.reshape(-1)[: arr.size], data)
-                scratch.local.reshape(-1)[: arr.size] = combined
-            rt.barrier()
-            step *= 2
-        # Distribute the result.
-        if result_image is None:
-            step = 1 << max(0, (n - 1).bit_length() - 1)
-            while step >= 1:
-                if rank % (2 * step) == 0 and rank + step < n:
-                    rt.layer.put(
-                        scratch, scratch.local.reshape(-1)[: arr.size], pes[rank + step]
-                    )
-                rt.barrier()
-                step //= 2
-            arr.reshape(-1)[:] = scratch.local.reshape(-1)[: arr.size]
-        else:
-            root_pe = rt.image_to_pe(result_image)
-            root_rank = _root_rank_in(rt, pes, result_image, "co_reduce")
-            if root_rank != 0 and rank == 0:
-                rt.layer.put(scratch, scratch.local.reshape(-1)[: arr.size], root_pe)
-            rt.barrier()
-            # Standard: the argument becomes undefined on non-result
-            # images; we leave partial tree values in place.
-            arr.reshape(-1)[:] = scratch.local.reshape(-1)[: arr.size]
-        rt.barrier()
-    finally:
-        rt.free_symmetric(scratch)
-
-
-def _bcast_direct(
-    rt: CafRuntime, arr: np.ndarray, source_image: int, pes: tuple[int, ...]
-) -> None:
-    """Barrier-synchronized binomial broadcast (process-engine path)."""
-    ctx = current()
-    n = len(pes)
-    rank = pes.index(ctx.pe)
-    root_rank = _root_rank_in(rt, pes, source_image, "co_broadcast")
-    scratch = rt.alloc_symmetric((max(arr.size, 1),), arr.dtype)
-    try:
-        if rank == root_rank:
-            scratch.local.reshape(-1)[: arr.size] = arr.reshape(-1)
-        rt.barrier()
-        # Rotate ranks so the root acts as rank 0 of the tree.
-        vrank = (rank - root_rank) % n
-        step = 1 << max(0, (n - 1).bit_length() - 1)
-        while step >= 1:
-            if vrank % (2 * step) == 0 and vrank + step < n:
-                dest_rank = (vrank + step + root_rank) % n
-                rt.layer.put(
-                    scratch, scratch.local.reshape(-1)[: arr.size], pes[dest_rank]
-                )
-            rt.barrier()
-            step //= 2
-        arr.reshape(-1)[:] = scratch.local.reshape(-1)[: arr.size]
-        rt.barrier()
-    finally:
-        rt.free_symmetric(scratch)
 
 
 def _reduce(
@@ -158,9 +71,6 @@ def _reduce(
         # Zero-size arrays and one-image teams combine nothing: no
         # scratch, no synchronization (``sync all`` still orders program
         # segments if the caller wants that).
-        return
-    if _use_direct(rt):
-        _tree_reduce_direct(rt, arr, op, result_image, pes)
         return
     if result_image is None:
         res = team_reduce(rt.layer, pes, arr, op)
@@ -204,9 +114,6 @@ def co_broadcast(rt: CafRuntime, arr: np.ndarray, source_image: int) -> None:
     pes = rt.live_pes(rt.team_pes())
     root_rank = _root_rank_in(rt, pes, source_image, "co_broadcast")
     if arr.size == 0 or len(pes) == 1:
-        return
-    if _use_direct(rt):
-        _bcast_direct(rt, arr, source_image, pes)
         return
     res = team_broadcast(rt.layer, pes, arr, root_rank=root_rank)
     arr.reshape(-1)[:] = res

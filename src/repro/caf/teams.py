@@ -77,13 +77,6 @@ def form_team(rt: CafRuntime, team_number: int) -> Team:
     if team_number < 1:
         raise CafError("team numbers must be positive (Fortran 2018)")
     ctx = current()
-    if getattr(ctx.job.engine, "cross_process", False):
-        raise CafError(
-            "CAF teams are not supported on engine='process': forming a "
-            "team gathers members through genuinely shared Python state, "
-            "and team-scoped allocation would desynchronize the per-process "
-            "symmetric-allocator replicas; use the threaded or event engine"
-        )
     parent_pes = rt.team_pes()
     if ctx.pe not in parent_pes:
         raise CafError("form_team called by a non-member of the current team")

@@ -7,8 +7,8 @@ binomial tree, recursive doubling, a bandwidth-optimal ring
 (reduce-scatter + allgather), and a hierarchical two-level scheme that
 exploits :mod:`repro.sim.topology` node locality — all built from the
 same traced 1-sided put/get and atomic post/wait primitives, so every
-algorithm runs unchanged on the threaded, cooperative, event, and
-(full-team) process engines and stays visible to the sanitizer.
+algorithm runs unchanged on the threaded, cooperative and event
+engines and stays visible to the sanitizer.
 
 Selection is cost-model driven: each algorithm has a closed-form pricer
 (:meth:`repro.sim.netmodel.NetworkModel.collective_cost`) and
@@ -21,7 +21,7 @@ Public API
 
 * step forms (event engine / CPS): :func:`team_reduce_step`,
   :func:`team_broadcast_step`, :func:`team_allgather_step`
-* blocking forms (threaded/cooperative/process engines):
+* blocking forms (threaded/cooperative engines):
   :func:`team_reduce`, :func:`team_broadcast`, :func:`team_allgather`
 * :data:`ALGORITHMS`, :class:`AlgorithmSelector`, :data:`FORCE_ENV`
 """

@@ -192,7 +192,7 @@ def team_allgather_step(
 # Blocking forms
 # ----------------------------------------------------------------------
 def team_reduce(layer, members, values, combine, **kwargs) -> np.ndarray:
-    """Blocking :func:`team_reduce_step` (threaded/cooperative/process
+    """Blocking :func:`team_reduce_step` (threaded/cooperative
     engines)."""
     return drive(team_reduce_step(layer, members, values, combine, Done, **kwargs))
 

@@ -28,12 +28,11 @@ Allocation protocol
 
 Flags and scratch live on the symmetric heap and are allocated
 *collectively* on first use — job-wide agreement + barrier for the
-full team (process-engine compatible), group agreement + group barrier
-for subsets (matching the existing policy that subset agreement is
-unsupported on ``engine='process'``).  Scratch grows by an agreed
-free+realloc *epoch*; each PE tracks the epoch it has agreed through so
-every member burns the same agreement sequence even when another member
-races ahead (agreement is first-arriver-computes and never blocks).
+full team, group agreement + group barrier for subsets.  Scratch grows
+by an agreed free+realloc *epoch*; each PE tracks the epoch it has
+agreed through so every member burns the same agreement sequence even
+when another member races ahead (agreement is first-arriver-computes
+and never blocks).
 """
 
 from __future__ import annotations

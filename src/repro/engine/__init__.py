@@ -20,7 +20,6 @@ from repro.engine.base import Engine, EngineError, WouldBlock, resolve_engine
 from repro.engine.cooperative import CooperativeEngine
 from repro.engine.event import EventDeadlock, EventEngine
 from repro.engine.pool import WorkerPool, shared_pool
-from repro.engine.process import ProcessEngine, RemotePEFailure
 from repro.engine.steps import (
     BarrierStep,
     DelayStep,
@@ -42,8 +41,6 @@ __all__ = [
     "EngineError",
     "EventDeadlock",
     "EventEngine",
-    "ProcessEngine",
-    "RemotePEFailure",
     "Step",
     "ThreadedEngine",
     "WaitStep",

@@ -117,17 +117,6 @@ class Engine:
     #: a plain boolean so the eager hot path never builds a closure.
     eager_delivery = True
 
-    #: True when PEs run as separate OS processes: job state the PEs
-    #: mutate on each other must then live in shared memory, and
-    #: features that rely on sharing Python objects across PEs (CAF
-    #: teams, group collective agreement) are unavailable.
-    cross_process = False
-
-    #: Optional ``Timeline``-factory callable (``name -> Timeline``)
-    #: handed to the :class:`~repro.sim.netmodel.NetworkModel`; ``None``
-    #: keeps plain in-process timelines.
-    timeline_factory = None
-
     def __init__(self) -> None:
         self.job: "Job | None" = None
         self.faults = None
@@ -148,55 +137,12 @@ class Engine:
             self.alloc_check = _alloc_check_nofaults
 
     # ------------------------------------------------------------------
-    # Runtime-state factories.  ``Job.__init__`` routes the construction
-    # of everything PEs share through the engine, so a cross-process
-    # engine can back it all with shared-memory segments while the
-    # in-process engines keep today's plain Python objects.
-    # ------------------------------------------------------------------
-    def prepare(self, *, num_pes: int, heap_bytes: int, num_nodes: int) -> None:
-        """Called once, before any factory below, with the job's final
-        dimensions — the hook where a cross-process engine sizes and
-        maps its shared segments."""
-
     def make_memories(self, num_pes: int, heap_bytes: int) -> list:
+        """The job's per-PE memories (the event engine substitutes a
+        lock-free subclass)."""
         from repro.runtime.memory import PEMemory
 
         return [PEMemory(heap_bytes) for _ in range(num_pes)]
-
-    def make_abort(self):
-        """The job-wide abort flag (``threading.Event`` shaped)."""
-        import threading
-
-        return threading.Event()
-
-    def make_barrier_state(self, key: tuple):
-        """External episode state for the barrier named by ``key`` (an
-        int tuple: ``(-1,)`` for the job barrier, the member tuple for
-        group barriers), or ``None`` for in-process state."""
-        return None
-
-    def make_failed_state(self, num_pes: int):
-        """External backing for the job's
-        :class:`~repro.runtime.failures.FailedImageRegistry`, or ``None``
-        for the in-process flag list.  A cross-process engine returns a
-        shared-memory slot view so every PE process sees one failed set.
-        """
-        return None
-
-    def make_collectives(self, num_pes: int, *, aborted, group: bool = False):
-        """Collective-agreement state (``group=True`` for PE subsets)."""
-        from repro.runtime.sync import CollectiveState
-
-        return CollectiveState(num_pes, aborted=aborted)
-
-    def cleanup(self) -> None:
-        """Release engine-held runtime resources (idempotent).
-
-        The one-shot launch wrappers (``run_spmd``, ``caf.launch``,
-        ``shmem.launch``) call this as soon as the run returns so a
-        cross-process engine unlinks its shared-memory segments
-        deterministically instead of waiting for GC.  In-process
-        engines hold nothing external: no-op."""
 
     # ------------------------------------------------------------------
     # Fault injection and retransmission (engine-neutral; see module doc)
@@ -376,7 +322,8 @@ def resolve_engine(engine: Any, scheduler: Any = None) -> Engine:
     * ``engine=None, scheduler=None`` — a fresh ``ThreadedEngine``;
     * ``engine=None, scheduler=S`` — a ``CooperativeEngine(S)``
       (back-compat: ``scheduler=`` keeps working unchanged);
-    * ``engine="threaded" | "event"`` — a fresh instance by name;
+    * ``engine="threaded" | "event" | "cooperative"`` — a fresh
+      instance by name (``"cooperative"`` requires ``scheduler=``);
     * an :class:`Engine` instance — used as-is (must be unbound).
 
     Passing both an engine and a scheduler is an error unless the
@@ -399,7 +346,7 @@ def resolve_engine(engine: Any, scheduler: Any = None) -> Engine:
         return engine
     if isinstance(engine, str):
         name = engine.lower()
-        if name in ("threaded", "event", "process") and scheduler is not None:
+        if name in ("threaded", "event") and scheduler is not None:
             raise ValueError(
                 f"engine={name!r} cannot be combined with scheduler=; "
                 f"cooperative execution is selected by the scheduler itself"
@@ -408,10 +355,6 @@ def resolve_engine(engine: Any, scheduler: Any = None) -> Engine:
             return ThreadedEngine()
         if name == "event":
             return EventEngine()
-        if name == "process":
-            from repro.engine.process import ProcessEngine
-
-            return ProcessEngine()
         if name == "cooperative":
             if scheduler is None:
                 raise ValueError(
@@ -420,6 +363,6 @@ def resolve_engine(engine: Any, scheduler: Any = None) -> Engine:
             return CooperativeEngine(scheduler)
         raise ValueError(
             f"unknown engine {engine!r}; expected 'threaded', 'event', "
-            f"'process', 'cooperative', or an Engine instance"
+            f"'cooperative', or an Engine instance"
         )
     raise TypeError(f"engine must be a name or Engine instance, got {engine!r}")

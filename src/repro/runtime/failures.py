@@ -9,11 +9,9 @@ axis out of MPI-3 for PGAS runtimes, and POSH's process-per-PE model is
 what makes single-PE death realistic (see PAPERS.md).  This module is
 the job-side half of that model:
 
-* :class:`FailedImageRegistry` — the per-job failed-PE set.  Like the
-  abort flag and barrier state it is engine-hook-backed
-  (:meth:`~repro.engine.base.Engine.make_failed_state`): in-process
-  engines keep a plain flag list, the process engine backs it with a
-  shared-memory slot array so every PE process sees one truth.
+* :class:`FailedImageRegistry` — the per-job failed-PE set: a plain
+  flag list under one lock, built by ``Job.__init__`` beside the abort
+  flag and the job barrier.
 * :class:`ImageFailedError` — the structured, initiator-side error for
   an operation targeting a failed PE (RMA, AMO, lock, AM, or a wait
   whose partner died).  Detection is *priced*: the initiator's virtual
@@ -24,8 +22,7 @@ the job-side half of that model:
   ``stat=`` values surfaced by ``caf.sync_all(stat=True)`` and friends.
 
 Only a job launched with ``survivable=True`` ever marks a PE failed
-(an :class:`~repro.sim.faults.InjectedCrash`, or a real child-process
-death under ``engine="process"``).  With the default
+(an :class:`~repro.sim.faults.InjectedCrash`).  With the default
 ``survivable=False`` the registry stays empty and every check below is
 one ``is None`` test — behavior is byte-for-byte the clean-abort
 baseline.
@@ -70,34 +67,22 @@ class ImageFailedError(RuntimeError):
 class FailedImageRegistry:
     """The per-job set of failed PEs.
 
-    In-process backing is a plain flag list under one lock; a
-    cross-process engine passes ``state`` — an object with
-    ``mark(pe) -> bool`` and ``snapshot() -> sequence-of-ints`` over a
-    shared-memory slot array (see
-    :meth:`repro.runtime.sharedheap.SharedHeap.failed_state`) — so all
-    PE processes observe one failed set.
-
-    ``is_failed`` is the hot-path read: a single list/array index.  The
+    ``is_failed`` is the hot-path read: a single list index.  The
     communication layers additionally skip the registry entirely when
     the job is not survivable, so the fault-free fast path is untouched.
     """
 
-    def __init__(self, num_pes: int, *, state=None,
-                 detect_us: float = DEFAULT_DETECT_US) -> None:
+    def __init__(self, num_pes: int, *, detect_us: float = DEFAULT_DETECT_US) -> None:
         self.num_pes = num_pes
         self.detect_us = detect_us
-        self._state = state
-        if state is None:
-            self._flags = [False] * num_pes
-            self._lock = threading.Lock()
+        self._flags = [False] * num_pes
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def mark_failed(self, pe: int) -> bool:
         """Record ``pe`` as failed; returns True if newly marked."""
         if not 0 <= pe < self.num_pes:
             raise ValueError(f"PE {pe} out of range [0, {self.num_pes})")
-        if self._state is not None:
-            return self._state.mark(pe)
         with self._lock:
             if self._flags[pe]:
                 return False
@@ -105,20 +90,14 @@ class FailedImageRegistry:
             return True
 
     def is_failed(self, pe: int) -> bool:
-        if self._state is not None:
-            return self._state.is_failed(pe)
         return self._flags[pe]
 
     @property
     def count(self) -> int:
-        if self._state is not None:
-            return len(self._state.snapshot())
         return sum(self._flags)
 
     def failed_pes(self) -> tuple[int, ...]:
         """Sorted 0-based PEs currently marked failed."""
-        if self._state is not None:
-            return tuple(sorted(int(p) for p in self._state.snapshot()))
         with self._lock:
             return tuple(p for p, f in enumerate(self._flags) if f)
 

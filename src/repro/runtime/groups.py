@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import typing
 
-from repro.runtime.sync import VirtualBarrier
+from repro.runtime.sync import CollectiveState, VirtualBarrier
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.launcher import Job
@@ -49,10 +49,7 @@ class _GroupSync:
     def __init__(self, job: "Job", members: tuple[int, ...]) -> None:
         self.members = members
         self.barrier = VirtualBarrier(
-            len(members),
-            aborted=job.aborted,
-            state=job.engine.make_barrier_state(members),
-            members=members,
+            len(members), aborted=job.aborted, members=members
         )
         # A group formed after an image has already failed must not wait
         # for the dead member (survivable mode only; the set is final at
@@ -61,9 +58,7 @@ class _GroupSync:
             for pe in members:
                 if job.failed.is_failed(pe):
                     self.barrier.exclude(pe)
-        self.collectives = job.engine.make_collectives(
-            len(members), aborted=job.aborted, group=True
-        )
+        self.collectives = CollectiveState(len(members), aborted=job.aborted)
         # Per-member collective sequence numbers for this group (indexed
         # by position in `members`; each slot touched only by its owner).
         self._seq = {pe: 0 for pe in members}

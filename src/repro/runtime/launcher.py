@@ -35,9 +35,11 @@ stall deadline of the always-on :class:`~repro.sim.faults.Watchdog`.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Sequence
 
-from repro.runtime.sync import VirtualBarrier
+from repro.runtime.failures import FailedImageRegistry
+from repro.runtime.sync import CollectiveState, VirtualBarrier
 from repro.sim.faults import FaultInjector, FaultPlan, Watchdog
 from repro.sim.machines import get_machine
 from repro.sim.netmodel import NetworkModel
@@ -115,43 +117,22 @@ class Job:
         self.machine = machine
         self.topology = Topology(machine, num_pes)
         self.heap_bytes = heap_bytes
-        # Cross-process engines allocate shared segments here, before
-        # any state that must live inside them exists.
-        self.engine.prepare(
-            num_pes=num_pes,
-            heap_bytes=heap_bytes,
-            num_nodes=self.topology.num_nodes,
-        )
-        self.network = NetworkModel(
-            self.topology, timeline_factory=self.engine.timeline_factory
-        )
+        self.network = NetworkModel(self.topology)
         self.memories = self.engine.make_memories(num_pes, heap_bytes)
         # One shared allocator: symmetric allocation means every PE gets
-        # the same offset, which a single metadata instance guarantees
-        # (cross-process engines rely on SPMD determinism of its
-        # per-process replicas instead).
+        # the same offset, which a single metadata instance guarantees.
         self.symmetric_allocator = FreeListAllocator(heap_bytes)
-        self._abort = self.engine.make_abort()
-        self.barrier = VirtualBarrier(
-            num_pes,
-            aborted=self.aborted,
-            state=self.engine.make_barrier_state((-1,)),
-        )
-        self.collectives = self.engine.make_collectives(
-            num_pes, aborted=self.aborted
-        )
+        self._abort = threading.Event()
+        self.barrier = VirtualBarrier(num_pes, aborted=self.aborted)
+        self.collectives = CollectiveState(num_pes, aborted=self.aborted)
         # Failed-images model (Fortran 2018): with survivable=True an
-        # injected crash (or real child-process death on the process
-        # engine) marks the PE failed here instead of aborting the job.
-        # The registry always exists — failed_images() is just empty in
-        # the default mode — but layers skip every registry check unless
-        # survivable, keeping the clean-abort baseline byte-for-byte.
-        from repro.runtime.failures import FailedImageRegistry
-
+        # injected crash marks the PE failed here instead of aborting
+        # the job.  The registry always exists — failed_images() is just
+        # empty in the default mode — but layers skip every registry
+        # check unless survivable, keeping the clean-abort baseline
+        # byte-for-byte.
         self.survivable = bool(survivable)
-        self.failed = FailedImageRegistry(
-            num_pes, state=self.engine.make_failed_state(num_pes)
-        )
+        self.failed = FailedImageRegistry(num_pes)
         #: Callables ``hook(pe)`` run on the dying PE when it becomes a
         #: failed image (before barrier excision) — e.g. CAF lock
         #: recovery registers here.
@@ -262,9 +243,4 @@ def run_spmd(
         engine=engine,
         survivable=survivable,
     )
-    try:
-        return job.run(fn, args=args, kwargs=kwargs)
-    finally:
-        # One-shot job: release engine-held resources (shared-memory
-        # segments on engine="process") deterministically.
-        job.engine.cleanup()
+    return job.run(fn, args=args, kwargs=kwargs)

@@ -30,7 +30,7 @@ class PEMemory:
         if nbytes <= 0:
             raise ValueError("memory size must be positive")
         self.nbytes = nbytes
-        self._buf = self._make_buf(nbytes)
+        self._buf = np.zeros(nbytes, dtype=np.uint8)
         self._cond = self._make_cond()
         self._last_write_time = 0.0
         # Virtual timestamps of the last atomic update per word offset:
@@ -41,33 +41,21 @@ class PEMemory:
         # sanitizer chains same-word atomics into happens-before edges.
         self._word_seq: dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # Backing hooks.  The defaults keep everything process-local; the
-    # cross-process subclass (repro.runtime.sharedheap.SharedPEMemory)
-    # redirects the buffer, the lock/notify protocol, and the published
-    # timestamps into shared-memory segments.  All hooks that touch
-    # state are called with ``self._cond`` held.
-    # ------------------------------------------------------------------
-    def _make_buf(self, nbytes: int) -> np.ndarray:
-        return np.zeros(nbytes, dtype=np.uint8)
-
     def _make_cond(self):
+        """The lock/notify object; the one hook a subclass overrides
+        (the event engine's memories substitute a notify sink)."""
         return threading.Condition()
 
     def _note_write(self, timestamp: float) -> None:
-        """Publish a write's virtual completion timestamp."""
+        """Publish a write's virtual completion timestamp (called with
+        ``self._cond`` held)."""
         if timestamp > self._last_write_time:
             self._last_write_time = timestamp
 
-    def _read_write_time(self) -> float:
-        return self._last_write_time
-
-    def _read_word_time(self, offset: int) -> float:
-        return self._word_times.get(offset, 0.0)
-
     def _word_update(self, offset: int, timestamp: float) -> tuple[float, int]:
-        """Record an atomic update to ``offset``; returns the previous
-        update's timestamp and this update's 1-based sequence number."""
+        """Record an atomic update to ``offset`` (``self._cond`` held);
+        returns the previous update's timestamp and this update's
+        1-based sequence number."""
         prev_time = self._word_times.get(offset, 0.0)
         self._word_times[offset] = max(timestamp, prev_time)
         seq = self._word_seq.get(offset, 0) + 1
@@ -414,12 +402,12 @@ class PEMemory:
                 if watch is not None:
                     watch()
                 self._cond.wait(timeout=poll_interval)
-            return self._read_write_time()
+            return self._last_write_time
 
     @property
     def last_write_time(self) -> float:
         with self._cond:
-            return self._read_write_time()
+            return self._last_write_time
 
     def word_time(self, offset: int) -> float:
         """Virtual timestamp of the last *atomic* update to the word at
@@ -433,4 +421,4 @@ class PEMemory:
         library's trace-digest stability rests on.
         """
         with self._cond:
-            return self._read_word_time(offset)
+            return self._word_times.get(offset, 0.0)

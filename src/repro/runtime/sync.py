@@ -48,7 +48,6 @@ class VirtualBarrier:
         num_pes: int,
         *,
         aborted: Callable[[], bool],
-        state: Any = None,
         members: tuple | None = None,
     ) -> None:
         if num_pes <= 0:
@@ -59,19 +58,14 @@ class VirtualBarrier:
         #: consult this when excising a failed PE: only barriers the
         #: dead PE belonged to shrink.
         self.members = members
-        #: Optional external episode state (cross-process engines back
-        #: it with shared-memory slots — see
-        #: :class:`repro.runtime.sharedheap.SharedBarrierState`); ``None``
-        #: keeps the historical in-process fields below, which the
-        #: threaded engine's ``barrier_wait`` reaches into directly.
-        self._shared = state
-        if state is None:
-            self._cond = threading.Condition()
-            self._generation = 0
-            self._count = 0
-            self._max_arrival = 0.0
-            self._release_time = 0.0
-            self._last_cost = 0.0
+        # The threaded engine's ``barrier_wait`` reaches into ``_cond``
+        # and ``_generation`` directly.
+        self._cond = threading.Condition()
+        self._generation = 0
+        self._count = 0
+        self._max_arrival = 0.0
+        self._release_time = 0.0
+        self._last_cost = 0.0
         #: Job-unique identity; with the generation number it names one
         #: barrier *episode* for the sanitizer's happens-before graph.
         self.sync_id = next(VirtualBarrier._ids)
@@ -79,8 +73,6 @@ class VirtualBarrier:
     @property
     def generation(self) -> int:
         """Current episode number (bumped at each release)."""
-        if self._shared is not None:
-            return self._shared.generation
         return self._generation
 
     def arrive(self, ctx: PEContext, cost: float = 0.0) -> tuple[int, bool]:
@@ -92,8 +84,6 @@ class VirtualBarrier:
         via the engine until the generation moves past theirs, then
         call :meth:`depart`.
         """
-        if self._shared is not None:
-            return self._shared.arrive(self.num_pes, ctx.clock.now, cost)
         with self._cond:
             gen = self._generation
             self._max_arrival = max(self._max_arrival, ctx.clock.now)
@@ -123,10 +113,6 @@ class VirtualBarrier:
         """
         if self.members is not None and pe not in self.members:
             return False
-        if self._shared is not None:
-            # The exclusion count lives in the shared slot; this
-            # process's num_pes replica stays at its original value.
-            return self._shared.exclude(self.num_pes)
         with self._cond:
             self.num_pes -= 1
             released = 0 < self.num_pes <= self._count
@@ -142,10 +128,7 @@ class VirtualBarrier:
         """Merge the episode's release time into ``ctx``'s clock and
         return it (see the class docstring for why the unlocked read
         is safe)."""
-        if self._shared is not None:
-            departure = self._shared.release_time
-        else:
-            departure = self._release_time
+        departure = self._release_time
         ctx.clock.merge(departure)
         return departure
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.runtime.context import current
-from repro.runtime.launcher import Job
+from repro.runtime.launcher import DEFAULT_HEAP_BYTES, Job
 from repro.shmem.constants import (
     CMP_EQ,
     CMP_GE,
@@ -144,33 +144,27 @@ def launch(
     :class:`~repro.sim.faults.FaultPlan` (or prebuilt
     :class:`~repro.sim.faults.FaultInjector`); ``watchdog_s`` overrides
     the hang watchdog's wall-clock stall deadline.  ``engine`` selects
-    the execution engine (``"threaded"``/``"event"`` or an
-    :class:`~repro.engine.Engine` instance; see :mod:`repro.engine`).
+    the execution engine (``"threaded"``/``"event"``/``"cooperative"``
+    or an :class:`~repro.engine.Engine` instance; see
+    :mod:`repro.engine`).
     ``survivable=True`` turns injected crashes into *failed images*
     (Fortran-2018 semantics) instead of job aborts: survivors keep
     running, and operations targeting a failed PE raise
     :class:`~repro.runtime.failures.ImageFailedError`.
     Returns the per-PE return values of ``fn``.
     """
-    job_kwargs: dict[str, Any] = {} if heap_bytes is None else {"heap_bytes": heap_bytes}
-    if faults is not None:
-        job_kwargs["faults"] = faults
-    if watchdog_s is not None:
-        job_kwargs["watchdog_s"] = watchdog_s
-    if scheduler is not None:
-        job_kwargs["scheduler"] = scheduler
-    if engine is not None:
-        job_kwargs["engine"] = engine
-    if survivable:
-        job_kwargs["survivable"] = True
-    job = Job(num_pes, machine, **job_kwargs)
+    job = Job(
+        num_pes,
+        machine,
+        heap_bytes=DEFAULT_HEAP_BYTES if heap_bytes is None else heap_bytes,
+        faults=faults,
+        watchdog_s=watchdog_s,
+        scheduler=scheduler,
+        engine=engine,
+        survivable=survivable,
+    )
     attach(job, profile)
-    try:
-        return job.run(fn, args=args, kwargs=kwargs or {})
-    finally:
-        # One-shot job: release engine-held resources (shared-memory
-        # segments on engine="process") deterministically.
-        job.engine.cleanup()
+    return job.run(fn, args=args, kwargs=kwargs or {})
 
 
 # ---------------------------------------------------------------------------

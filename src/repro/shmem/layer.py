@@ -32,17 +32,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 LAYER_NAME = "shmem"
 
-_REDUCERS = {
-    "sum": np.add.reduce,
-    "prod": np.multiply.reduce,
-    "min": np.minimum.reduce,
-    "max": np.maximum.reduce,
-    "and": np.bitwise_and.reduce,
-    "or": np.bitwise_or.reduce,
-    "xor": np.bitwise_xor.reduce,
-}
-
-# Element-wise binary forms of the same operators, fed to the collective
+# Element-wise binary reduction operators, fed to the collective
 # algorithm library (every OpenSHMEM reduction is commutative).
 _BINARY_OPS = {
     "sum": np.add,
@@ -168,43 +158,22 @@ class ShmemLayer(OneSidedLayer):
         from repro.runtime.groups import active_set_pes
 
         try:
-            reducer = _REDUCERS[op]
+            binary_op = _BINARY_OPS[op]
         except KeyError:
             raise ValueError(
-                f"unknown reduction {op!r}; expected {sorted(_REDUCERS)}"
+                f"unknown reduction {op!r}; expected {sorted(_BINARY_OPS)}"
             ) from None
         source.check_span(0, nelems)
         dest.check_span(0, nelems)
         ctx = _current()
         members = active_set_pes(pe_start, log_pe_stride, pe_size, self.job.num_pes)
-        if self._use_direct_collectives():
-            # Historical barrier-framed path: the library's shared comm
-            # state (like subset agreement) is per-process replicas on
-            # engine='process'.
-            self.active_set_barrier(pe_start, log_pe_stride, pe_size)
-            parts = np.stack(
-                [
-                    self.job.memories[p]
-                    .read(source.byte_offset, nelems * source.itemsize)
-                    .view(source.dtype)
-                    for p in members
-                ]
-            )
-            dest.local.reshape(-1)[:nelems] = reducer(parts, axis=0)
-            ctx.clock.advance(
-                self.job.network.reduction_cost(
-                    len(members), nelems * source.itemsize, self.profile
-                )
-            )
-            self.active_set_barrier(pe_start, log_pe_stride, pe_size)
-            return
         if ctx.pe not in members:
             raise ValueError(
                 f"PE {ctx.pe} called a barrier over active set {members} "
                 f"it does not belong to"
             )
         data = np.asarray(source.local).reshape(-1)[:nelems]
-        res = team_reduce(self, self._live_pes(members), data, _BINARY_OPS[op])
+        res = team_reduce(self, self._live_pes(members), data, binary_op)
         dest.local.reshape(-1)[:nelems] = res
 
     # ------------------------------------------------------------------
@@ -213,13 +182,8 @@ class ShmemLayer(OneSidedLayer):
     # All four ride on :mod:`repro.collectives`: the algorithm (linear,
     # binomial, recursive doubling, ring, or hierarchical two-level) is
     # chosen per call by the topology-aware cost model, or forced via
-    # ``REPRO_COLLECTIVE``.  On ``engine='process'`` the historical
-    # barrier-framed direct path is kept: the library's shared comm
-    # state lives in genuinely shared Python objects.
+    # ``REPRO_COLLECTIVE``.
     # ------------------------------------------------------------------
-    def _use_direct_collectives(self) -> bool:
-        return bool(getattr(self.engine, "cross_process", False))
-
     def _all_pes(self) -> tuple[int, ...]:
         return tuple(range(self.job.num_pes))
 
@@ -244,18 +208,6 @@ class ShmemLayer(OneSidedLayer):
         source.check_span(0, nelems)
         dest.check_span(0, nelems)
         ctx = current()
-        if self._use_direct_collectives():
-            self.barrier_all()
-            if ctx.pe != root:
-                raw = self.job.memories[root].read(source.byte_offset, nelems * source.itemsize)
-                dest.local.reshape(-1)[:nelems] = raw.view(source.dtype)
-            ctx.clock.advance(
-                self.job.network.reduction_cost(
-                    self.job.num_pes, nelems * source.itemsize, self.profile
-                )
-            )
-            self.barrier_all()
-            return
         data = np.asarray(source.local).reshape(-1)[:nelems]
         pes = self._live_pes(self._all_pes())
         if len(pes) < self.job.num_pes and root not in pes:
@@ -271,23 +223,6 @@ class ShmemLayer(OneSidedLayer):
         """Concatenate every PE's ``nelems`` source elements, PE order."""
         source.check_span(0, nelems)
         dest.check_span(0, nelems * self.job.num_pes)
-        ctx = current()
-        if self._use_direct_collectives():
-            self.barrier_all()
-            parts = [
-                self.job.memories[p]
-                .read(source.byte_offset, nelems * source.itemsize)
-                .view(source.dtype)
-                for p in range(self.job.num_pes)
-            ]
-            dest.local.reshape(-1)[: nelems * self.job.num_pes] = np.concatenate(parts)
-            ctx.clock.advance(
-                self.job.network.reduction_cost(
-                    self.job.num_pes, nelems * source.itemsize * self.job.num_pes, self.profile
-                )
-            )
-            self.barrier_all()
-            return
         data = np.asarray(source.local).reshape(-1)[:nelems]
         pes = self._live_pes(self._all_pes())
         res = team_allgather(self, pes, data)
@@ -298,37 +233,18 @@ class ShmemLayer(OneSidedLayer):
     ) -> None:
         """Reduction over all PEs (``shmem_<op>_to_all``)."""
         try:
-            reducer = _REDUCERS[op]
+            binary_op = _BINARY_OPS[op]
         except KeyError:
             raise ValueError(
-                f"unknown reduction {op!r}; expected {sorted(_REDUCERS)}"
+                f"unknown reduction {op!r}; expected {sorted(_BINARY_OPS)}"
             ) from None
         if op in ("and", "or", "xor") and not np.issubdtype(source.dtype, np.integer):
             raise TypeError(f"bitwise reduction {op!r} requires an integer dtype")
         source.check_span(0, nelems)
         dest.check_span(0, nelems)
-        ctx = current()
-        if self._use_direct_collectives():
-            self.barrier_all()
-            parts = np.stack(
-                [
-                    self.job.memories[p]
-                    .read(source.byte_offset, nelems * source.itemsize)
-                    .view(source.dtype)
-                    for p in range(self.job.num_pes)
-                ]
-            )
-            dest.local.reshape(-1)[:nelems] = reducer(parts, axis=0)
-            ctx.clock.advance(
-                self.job.network.reduction_cost(
-                    self.job.num_pes, nelems * source.itemsize, self.profile
-                )
-            )
-            self.barrier_all()
-            return
         data = np.asarray(source.local).reshape(-1)[:nelems]
         res = team_reduce(
-            self, self._live_pes(self._all_pes()), data, _BINARY_OPS[op]
+            self, self._live_pes(self._all_pes()), data, binary_op
         )
         dest.local.reshape(-1)[:nelems] = res
 

@@ -48,37 +48,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualClock(now={self._now:.3f}us)"
-
-
-class SharedClock(VirtualClock):
-    """A :class:`VirtualClock` that publishes every mutation to a shared
-    float64 slot.
-
-    Used by the process engine: each PE process keeps the hot reads on
-    the local ``_now`` float (identical arithmetic to the base class)
-    and mirrors the value into its control-segment slot, so the parent
-    can observe per-PE virtual progress live and report the final clock
-    of a PE whose process died.  The slot store is a single aligned
-    8-byte write; only the owning PE ever writes it.
-    """
-
-    __slots__ = ("_slot",)
-
-    def __init__(self, slot, start: float = 0.0) -> None:
-        self._slot = slot
-        super().__init__(start)
-        self._slot[0] = self._now
-
-    def advance(self, dt: float) -> float:
-        now = super().advance(dt)
-        self._slot[0] = now
-        return now
-
-    def merge(self, t: float) -> float:
-        now = super().merge(t)
-        self._slot[0] = now
-        return now
-
-    def reset(self, t: float = 0.0) -> None:
-        super().reset(t)
-        self._slot[0] = self._now

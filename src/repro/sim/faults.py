@@ -251,13 +251,6 @@ class FaultInjector:
         """How many operations ``pe`` has had counted so far."""
         return self._op_count[pe]
 
-    def adopt(self, pe: int, op_count: int, stats: Counter) -> None:
-        """Replace one PE's counters with externally-recorded values
-        (the process engine ships each child's counters at join; the
-        parent-side replicas never saw the child's operations)."""
-        self._op_count[pe] = op_count
-        self._stats[pe] = Counter(stats)
-
     def summary(self) -> dict:
         """Merged injection statistics across all PEs."""
         total: Counter = Counter()

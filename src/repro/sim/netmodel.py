@@ -210,19 +210,14 @@ class NetworkModel:
     thread-safe (the only shared mutable state is in the timelines).
     """
 
-    def __init__(self, topology: Topology, timeline_factory=None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         m = topology.machine
         n = topology.num_nodes
-        # ``timeline_factory`` lets an engine substitute its own Timeline
-        # subclass (the process engine backs the accumulators with shared
-        # memory so contention state spans PE processes).  Creation order
-        # here is the factory's slot-assignment order — keep it stable.
-        tf = Timeline if timeline_factory is None else timeline_factory
-        self._tx = [tf(f"node{i}.tx") for i in range(n)]
-        self._rx = [tf(f"node{i}.rx") for i in range(n)]
-        self._amo = [tf(f"node{i}.amo") for i in range(n)]
-        self._cpu = [tf(f"node{i}.amcpu") for i in range(n)]
+        self._tx = [Timeline(f"node{i}.tx") for i in range(n)]
+        self._rx = [Timeline(f"node{i}.rx") for i in range(n)]
+        self._amo = [Timeline(f"node{i}.amo") for i in range(n)]
+        self._cpu = [Timeline(f"node{i}.amcpu") for i in range(n)]
         self._machine = m
         # Memoized pricing closures (see "the pricers" below).
         # Plain dict; get/set are GIL-atomic and a lost race merely

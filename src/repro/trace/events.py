@@ -221,17 +221,6 @@ class Tracer:
                     for r in pool
                 )
 
-    def adopt_events(self, pe: int, events: list[TraceEvent]) -> None:
-        """Replace one PE's event list with externally-recorded events.
-
-        The process engine records each PE's trace inside its own
-        process; at join the parent adopts the shipped (already
-        materialized) lists, discarding the parent-side copies, which
-        never saw the child's operations.
-        """
-        self._pool[pe] = []
-        self._events[pe] = list(events)
-
     # ------------------------------------------------------------------
     # Sync-capture bookkeeping
     # ------------------------------------------------------------------

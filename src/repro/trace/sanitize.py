@@ -26,7 +26,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.trace.sanitize",
         description="Happens-before ordering/race sanitizer for serialized traces.",
     )
-    parser.add_argument("trace", help="path to a serialized trace (JSON, format v1-v3)")
+    parser.add_argument("trace", help="path to a serialized trace (JSON)")
     parser.add_argument(
         "--quiet", action="store_true", help="print nothing; exit status only"
     )

@@ -14,10 +14,9 @@ from pathlib import Path
 
 from repro.trace.events import OPS, TraceEvent, Tracer
 
-# v2 appended the per-event logical call count; v3 appends the
-# sync-capture fields (addr, footprint, internal, meta); v4 admits the
-# fault-injection ops ("fault", "retry") and v5 the failed-image op
-# ("fail"), both with an unchanged record shape.
+# The one format written and read: 11-field records (pe, op, target,
+# nbytes, t_start, t_end, calls, addr, footprint, internal, meta) over
+# the op vocabulary of :data:`~repro.trace.events.OPS`.
 FORMAT_VERSION = 5
 
 
@@ -55,25 +54,18 @@ def save(tracer: Tracer, path: str | Path) -> None:
 def events_from_dict(doc: dict) -> list[TraceEvent]:
     """Decode a document back into a flat, start-time-ordered event list.
 
-    Accepts formats 1 (no call counts), 2 (call counts), 3 (sync
-    fields), 4 (fault ops), and 5 (failed-image ops); the sort by
-    ``(t_start, pe)`` is stable, so each PE's program order — the order
-    records were written in — is preserved.
+    Accepts :data:`FORMAT_VERSION` only; the sort by ``(t_start, pe)``
+    is stable, so each PE's program order — the order records were
+    written in — is preserved.
     """
-    if doc.get("format") not in (1, 2, 3, 4, FORMAT_VERSION):
+    if doc.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format {doc.get('format')!r}")
     num_pes = doc["num_pes"]
     out = []
     for rec in doc["events"]:
-        pe, op, target, nbytes, t_start, t_end = rec[:6]
-        calls = rec[6] if len(rec) > 6 else 1  # v1 records carry no count
-        if len(rec) > 7:  # v3 sync-capture fields
-            addr = rec[7]
-            footprint = tuple((int(s), int(n)) for s, n in rec[8])
-            internal = bool(rec[9])
-            meta = tuple(rec[10])
-        else:
-            addr, footprint, internal, meta = -1, (), False, ()
+        if len(rec) != 11:
+            raise ValueError(f"event record has {len(rec)} fields: {rec}")
+        pe, op, target, nbytes, t_start, t_end, calls, addr, footprint, internal, meta = rec
         if not 0 <= pe < num_pes:
             raise ValueError(f"event names PE {pe} outside [0, {num_pes})")
         if op not in OPS:
@@ -92,9 +84,9 @@ def events_from_dict(doc: dict) -> list[TraceEvent]:
                 t_end=t_end,
                 calls=calls,
                 addr=addr,
-                footprint=footprint,
-                internal=internal,
-                meta=meta,
+                footprint=tuple((int(s), int(n)) for s, n in footprint),
+                internal=bool(internal),
+                meta=tuple(meta),
             )
         )
     out.sort(key=lambda e: (e.t_start, e.pe))

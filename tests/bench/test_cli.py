@@ -23,7 +23,7 @@ def test_unknown_target_errors():
 def test_all_targets_registered():
     assert TARGETS == (
         "tables", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-        "wallclock", "kvservice",
+        "kvservice",
     )
 
 

@@ -136,10 +136,7 @@ def traced_launch(fn, num_images, machine="stampede", args=(), **rt_kwargs):
         rt.startup()
         return fn(*a)
 
-    try:
-        return job.run(spmd_main, args=args), tracer
-    finally:
-        job.engine.cleanup()
+    return job.run(spmd_main, args=args), tracer
 
 
 def touched(tracer):

@@ -61,6 +61,25 @@ def test_stats_merge_and_reset():
     assert all(after == 0 for _, after in out)
 
 
+def test_naive_ring_stats_count_logical_calls():
+    """The naive policy counts one putmem per selected element, on
+    every image of a ring, and the neighbour's assignment lands."""
+    key = np.s_[0:20:2, 0:16:2, 0:20:4]  # 10 x 8 x 5 elements
+
+    def kernel():
+        a = caf.coarray((20, 16, 20), np.float32)
+        a[...] = 0
+        caf.sync_all()
+        a.on(caf.this_image() % caf.num_images() + 1)[key] = 7
+        caf.sync_all()
+        stats = caf.current_runtime().my_stats
+        return stats["putmem_calls"], stats["put_elems"], float(a.local.sum())
+
+    out = caf.launch(kernel, num_images=4, backend="shmem",
+                     profile="cray-shmem", strided="naive")
+    assert out == [(10 * 8 * 5, 10 * 8 * 5, 7.0 * 10 * 8 * 5)] * 4
+
+
 def test_managed_byte_offset_math():
     def kernel():
         rt = caf.current_runtime()

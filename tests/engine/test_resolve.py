@@ -56,6 +56,13 @@ def test_unknown_name_and_type():
         resolve_engine("warp")
     with pytest.raises(TypeError):
         resolve_engine(42)
+    # The POSH-style process engine is parked (ROADMAP): its name is
+    # unknown like any other, and the message lists what exists.
+    message = "unknown engine 'process'.*'threaded', 'event', 'cooperative'"
+    with pytest.raises(ValueError, match=message):
+        resolve_engine("process")
+    with pytest.raises(ValueError, match=message):
+        Job(2, heap_bytes=1 << 15, engine="process")
 
 
 def test_engines_are_single_job():

@@ -390,63 +390,6 @@ def test_rdht_crash_sweep_never_loses_acked_writes():
     assert crashed_runs >= 5  # the sweep must actually exercise crashes
 
 
-# ---------------------------------------------------------------------------
-# Process engine: real child death and injected crashes
-# ---------------------------------------------------------------------------
-
-
-def test_process_engine_survives_real_child_death():
-    import os
-
-    def kernel():
-        me = caf.this_image()
-        caf.sync_all()
-        if me == 2:
-            os._exit(9)  # no report, no exception — a real PE death
-        stat = [0]
-        caf.sync_all(stat=stat)
-        return stat[0], caf.failed_images()
-
-    results = caf.launch(
-        kernel, 3, heap_bytes=1 << 20, survivable=True, engine="process",
-        watchdog_s=60.0,
-    )
-    assert results[1] is None
-    for r in (results[0], results[2]):
-        assert r == (STAT_FAILED_IMAGE, (2,))
-
-
-def test_process_engine_survivable_injected_crash_and_no_shm_leak():
-    import os
-
-    def kernel():
-        import repro.shmem as sh
-
-        me = sh.my_pe()
-        sym = sh.shmalloc_array(4, np.int64)
-        sh.barrier_all()
-        for _ in range(6):
-            try:
-                sh.atomic_fadd(sym, 1, 0)
-            except ImageFailedError:
-                pass
-            sh.barrier_all()
-        return me
-
-    plan = FaultPlan(seed=3, crash_at={1: 5})
-    job = Job(3, heap_bytes=1 << 20, engine="process",
-              survivable=True, faults=plan, watchdog_s=60.0)
-    shmem_attach(job)
-    names = list(job.engine._heap.segment_names)
-    results = job.run(kernel)
-    assert results[1] is None
-    assert results[0] == 0 and results[2] == 2
-    assert job.failed.failed_pes() == (1,)
-    job.engine.cleanup()
-    for name in names:
-        assert not os.path.exists(f"/dev/shm/{name}"), f"leaked {name}"
-
-
 def test_rdht_lookup_fails_over_to_replica():
     def kernel():
         me = caf.this_image()

@@ -13,6 +13,7 @@ from repro.bench.himeno import himeno_caf
 from repro.runtime.launcher import Job, JobAborted
 from repro.trace import sanitize as sanitize_cli
 from repro.trace.sanitizer import OrderingViolation, check_events, check_tracer
+from repro.trace.serialize import FORMAT_VERSION
 
 
 def _kinds(report):
@@ -93,12 +94,15 @@ def test_lock_ordered_update_is_clean():
 # ---------------------------------------------------------------------------
 
 
-def _v3_doc(events):
-    return {"format": 3, "num_pes": 2, "machine": "Synthetic", "events": events}
+def _synthetic_doc(events):
+    return {
+        "format": FORMAT_VERSION, "num_pes": 2, "machine": "Synthetic",
+        "events": events,
+    }
 
 
 def _unquiesced_release_doc():
-    return _v3_doc(
+    return _synthetic_doc(
         [
             [0, "lock_acquire", 1, 0, 0.0, 1.0, 1, -1, [], 0, ["la", 1, 1, 0, 1]],
             [0, "put", 1, 8, 1.0, 2.0, 1, 64, [[64, 8]], 0, []],
@@ -108,7 +112,7 @@ def _unquiesced_release_doc():
 
 
 def _cross_image_unlock_doc():
-    return _v3_doc(
+    return _synthetic_doc(
         [
             [0, "lock_acquire", 1, 0, 0.0, 1.0, 1, -1, [], 0, ["la", 1, 1, 0, 1]],
             [1, "lock_release", 1, 0, 1.0, 2.0, 1, -1, [], 0, ["lr", 1, 1, 0, 1]],
@@ -135,7 +139,7 @@ def test_cross_image_unlock_detected():
 def test_unmatched_release_detected():
     from repro.trace.serialize import events_from_dict
 
-    doc = _v3_doc(
+    doc = _synthetic_doc(
         [[0, "lock_release", 1, 0, 1.0, 2.0, 1, -1, [], 0, ["lr", 1, 1, 0, 7]]]
     )
     report = check_events(events_from_dict(doc), 2)
