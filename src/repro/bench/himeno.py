@@ -182,7 +182,6 @@ def himeno_caf(
     sanitize: bool = False,
     faults=None,
     watchdog_s: float | None = None,
-    scheduler=None,
     engine=None,
 ) -> HimenoResult:
     """Run the CAF Himeno and report MFLOPS (one Fig 10 cell).
@@ -275,7 +274,6 @@ def himeno_caf(
         sanitize=sanitize,
         faults=faults,
         watchdog_s=watchdog_s,
-        scheduler=scheduler,
         engine=engine,
         **config.launch_kwargs(),
     )

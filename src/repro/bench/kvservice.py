@@ -30,10 +30,8 @@ This module builds that service on :class:`ReplicatedHashTable`:
   schedule exploration and crash injection.
 
 ``python -m repro.bench.kvservice`` runs the percentile grid (two Zipf
-skews × two mixes), the cache-on/off p99 comparison, the
-reshard-under-load gate, and a threaded-vs-event engine gate (a
-single-initiator step-program variant whose digests must agree
-bitwise), then merges a ``kvservice`` section into
+skews × two mixes), the cache-on/off p99 comparison and the
+reshard-under-load gate, then merges a ``kvservice`` section into
 ``BENCH_wallclock.json``.
 """
 
@@ -49,7 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro import caf
-from repro.bench.dht import ReplicatedHashTable, _mix
+from repro.bench.dht import ReplicatedHashTable
 from repro.bench.harness import update_bench_json
 from repro.bench.kvhistory import Recorder
 from repro.runtime.context import current
@@ -58,8 +56,6 @@ from repro.runtime.context import current
 HEAP_BYTES = 1 << 19
 
 _KINDS = ("read", "write", "scan")
-
-_GATE_SLOTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,7 @@ def run_cell(
     grow_at: int | None = None,
     record: bool = False,
     bug_stale: bool = False,
-    engine: str = "vt",
-    scheduler: Any = None,
+    engine: Any = "vt",
     survivable: bool = False,
     faults: Any = None,
     watchdog_s: float | None = None,
@@ -303,37 +298,21 @@ def run_cell(
     order for the lock-based service code, so the open-loop latency
     percentiles are both physically meaningful (no phantom queueing
     from causality lifts across PEs with divergent clocks) and
-    reproducible bit-for-bit run to run.  ``engine="cooperative"``
-    instead takes a seeded random walk (one explored interleaving) and
-    ``engine="threaded"`` free-runs."""
-    kw: dict[str, Any] = {}
-    if scheduler is not None:
-        kw["scheduler"] = scheduler
-    elif engine == "vt":
-        from repro.explore import Scheduler, VirtualTimeOrder
-
-        kw["scheduler"] = Scheduler(VirtualTimeOrder())
-    elif engine == "cooperative":
-        from repro.explore import RandomWalk, Scheduler
-
-        kw["scheduler"] = Scheduler(RandomWalk(spec.seed))
-    elif engine != "threaded":
-        kw["engine"] = engine
-    if survivable:
-        kw["survivable"] = True
-    if faults is not None:
-        kw["faults"] = faults
-    if watchdog_s is not None:
-        kw["watchdog_s"] = watchdog_s
+    reproducible bit-for-bit run to run.  ``engine`` is passed straight
+    to :func:`caf.launch` (``Scheduler(RandomWalk(seed))`` explores one
+    interleaving, ``"threaded"`` free-runs)."""
     return caf.launch(
         _service_kernel,
         images,
         machine,
         heap_bytes=HEAP_BYTES,
         lock_algorithm="tas",
+        engine=engine,
+        survivable=survivable,
+        faults=faults,
+        watchdog_s=watchdog_s,
         args=(spec, slots, locks, ring_images, cache_capacity,
               grow_to, grow_at, record, bug_stale),
-        **kw,
     )
 
 
@@ -364,103 +343,6 @@ def aggregate(results: list, spec: WorkloadSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Cross-engine gate: a single-initiator step-program variant
-# ---------------------------------------------------------------------------
-
-
-def _fold(digest: int, *words: int) -> int:
-    for w in words:
-        digest = _mix((digest ^ (w & 0xFFFFFFFFFFFFFFFF)) & 0xFFFFFFFFFFFFFFFF)
-    return digest
-
-
-def make_kv_step_body(layer, spec: WorkloadSpec):
-    """The gate variant of the workload as a step program.
-
-    The event engine runs CPS step programs only, and the full service
-    (CAF bucket locks, replication) cannot execute there — so the gate
-    runs the *same generated op stream* against a direct-mapped KV
-    directory over the shmem layer: owner/slot from the key hash,
-    writes are remote atomic sets, reads remote atomic fetches (scans
-    fetch ``scan_len`` consecutive ranks).  PE 0 is the only initiator,
-    so every timed resource is reserved in program order and the
-    threaded and event engines must agree bit-for-bit — on the op
-    digest *and* the final virtual clock."""
-    from repro.engine.steps import Done, alloc_array_step
-
-    job = layer.job
-    n = job.num_pes
-    stream = generate_stream(spec, 1)
-
-    def body():
-        ctx = current()
-        pe = ctx.pe
-
-        def locate(key: int) -> tuple[int, int]:
-            h = _mix(key)
-            return h % n, (h >> 20) % _GATE_SLOTS
-
-        def run(table):
-            if pe != 0:
-                return Done((0, round(ctx.clock.now, 6)))
-            digest = 0
-            t0 = ctx.clock.now
-            for idx, op in enumerate(stream):
-                arrival = t0 + op.arrival
-                if ctx.clock.now < arrival:
-                    ctx.clock.advance(arrival - ctx.clock.now)
-                if op.kind == "write":
-                    owner, slot = locate(op.key)
-                    layer.atomic(table, owner, slot, "set", (1 << 24) | (idx + 1))
-                    digest = _fold(digest, idx, op.key)
-                elif op.kind == "read":
-                    owner, slot = locate(op.key)
-                    old = layer.atomic(table, owner, slot, "fetch")
-                    digest = _fold(digest, idx, op.key, int(old))
-                else:
-                    base = op.key - op.rank
-                    for j in range(spec.scan_len):
-                        k = base + (op.rank + j) % spec.keyspace
-                        owner, slot = locate(k)
-                        old = layer.atomic(table, owner, slot, "fetch")
-                        digest = _fold(digest, k, int(old))
-            return Done((digest, round(ctx.clock.now, 6)))
-
-        return alloc_array_step(layer, (_GATE_SLOTS,), np.int64, run)
-
-    return body
-
-
-def engine_gate(spec: WorkloadSpec, *, num_pes: int = 8,
-                machine: str = "stampede") -> dict:
-    """Run the step-program variant on the threaded and event engines;
-    raises :class:`AssertionError` unless the per-PE results (digest +
-    final virtual clock) agree exactly."""
-    from repro.runtime.launcher import Job
-    from repro.shmem import attach as shmem_attach
-
-    outcomes = {}
-    for engine in ("threaded", "event"):
-        job = Job(num_pes, machine, heap_bytes=HEAP_BYTES, engine=engine)
-        layer = shmem_attach(job)
-        outcomes[engine] = job.run(make_kv_step_body(layer, spec))
-    if outcomes["threaded"] != outcomes["event"]:
-        raise AssertionError(
-            f"kvservice engine gate: threaded and event disagree: "
-            f"{outcomes['threaded']} != {outcomes['event']}"
-        )
-    digest, final_vt = outcomes["threaded"][0]
-    return {
-        "pes": num_pes,
-        "ops": spec.ops,
-        "digest": f"{digest:016x}",
-        "final_virtual_us": final_vt,
-        "engines": ["threaded", "event"],
-        "identical": True,
-    }
-
-
-# ---------------------------------------------------------------------------
 # The benchmark suite
 # ---------------------------------------------------------------------------
 
@@ -482,13 +364,12 @@ def _grid_spec(quick: bool, seed: int) -> WorkloadSpec:
 
 
 def run_suite(*, quick: bool = False, seed: int = 2015, images: int = 4,
-              machine: str = "stampede", gate: bool = True) -> dict:
+              machine: str = "stampede") -> dict:
     """Run the full kvservice benchmark; returns the JSON section.
 
     Raises :class:`AssertionError` when a gate fails: cache-on p99 must
-    beat cache-off on the skewed read-heavy mix, the reshard run must
-    move entries and lose zero acked writes, and the threaded/event
-    step variant must agree bitwise."""
+    beat cache-off on the skewed read-heavy mix, and the reshard run
+    must move entries and lose zero acked writes."""
     t_start = time.perf_counter()
     base = _grid_spec(quick, seed)
     cells = []
@@ -557,9 +438,6 @@ def run_suite(*, quick: bool = False, seed: int = 2015, images: int = 4,
         "cells": cells,
         "cache_comparison": cache_cmp,
         "reshard": reshard,
-        "engine_gate": engine_gate(replace(base, scan_frac=0.05,
-                                           read_frac=0.75, write_frac=0.20))
-        if gate else None,
         "wall_s": None,
     }
     section["wall_s"] = round(time.perf_counter() - t_start, 3)
@@ -581,11 +459,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_wallclock.json",
                         help="wallclock JSON to merge the kvservice "
                              "section into")
-    parser.add_argument("--no-gate", action="store_true",
-                        help="skip the threaded-vs-event step-program gate")
     args = parser.parse_args(argv)
     section = run_suite(quick=args.quick, seed=args.seed, images=args.images,
-                        machine=args.machine, gate=not args.no_gate)
+                        machine=args.machine)
     out = update_bench_json(args.out, "kvservice", section)
     for cell in section["cells"]:
         lat = cell["latency_us"]
@@ -600,9 +476,6 @@ def main(argv=None) -> int:
     rs = section["reshard"]
     print(f"reshard: moved={rs['moved']} epoch={rs['epoch']} "
           f"acked={rs['acked']} lost={len(rs['lost'])}")
-    if section["engine_gate"]:
-        print(f"engine gate: digest {section['engine_gate']['digest']} "
-              f"identical on threaded+event")
     print(f"wrote {out}")
     return 0
 

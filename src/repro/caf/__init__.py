@@ -156,7 +156,6 @@ def launch(
     sanitize: bool = False,
     faults: Any = None,
     watchdog_s: float | None = None,
-    scheduler: Any = None,
     engine: Any = None,
     survivable: bool = False,
     args: Sequence[Any] = (),
@@ -180,12 +179,11 @@ def launch(
     :class:`~repro.sim.faults.FaultPlan` (or a prebuilt
     :class:`~repro.sim.faults.FaultInjector`, so callers can read its
     statistics afterwards); ``watchdog_s`` overrides the wall-clock
-    stall deadline of the hang watchdog.  ``scheduler`` attaches a
-    deterministic cooperative scheduler
-    (:class:`~repro.explore.Scheduler`): one strategy seed, one exact
-    interleaving.  ``engine`` selects the execution engine
-    (``"threaded"``/``"event"``/``"cooperative"`` or an
-    :class:`~repro.engine.Engine` instance; see :mod:`repro.engine`).
+    stall deadline of the hang watchdog.  ``engine`` selects the
+    execution engine: ``"threaded"`` (default), ``"event"``, ``"vt"``,
+    or an :class:`~repro.engine.Engine` instance such as
+    ``Scheduler(RandomWalk(seed))`` (:class:`~repro.explore.Scheduler`:
+    one strategy seed, one exact interleaving); see :mod:`repro.engine`.
     ``survivable=True`` enables the Fortran-2018 failed-images model: an
     injected crash marks the image *failed* instead of aborting the job;
     survivors keep running, ``failed_images()``/``image_status()``
@@ -200,7 +198,6 @@ def launch(
         heap_bytes=DEFAULT_HEAP_BYTES if heap_bytes is None else heap_bytes,
         faults=faults,
         watchdog_s=watchdog_s,
-        scheduler=scheduler,
         engine=engine,
         survivable=survivable,
     )

@@ -332,22 +332,11 @@ class CafRuntime:
 
     def barrier(self) -> None:
         """Quiet + barrier over the current team (``sync all``)."""
-        ctx = current()
-        t_start = ctx.clock.now
-        team = self._team[ctx.pe]
-        self.layer._jitter(ctx, self.layer, "barrier")
-        self.layer.quiet()
+        team = self._team[current().pe]
         if team is None:
-            cost = self.job.network.barrier_cost(self.job.num_pes, self.layer.profile)
-            bar = self.job.barrier
+            self.layer.barrier_all()
         else:
-            cost = self.job.network.barrier_cost(team.num_images, self.layer.profile)
-            bar = team.group.barrier
-        _, gen = bar.wait_gen(ctx, cost)
-        tracer = self.job.tracer
-        if tracer is not None:
-            meta = ("b", bar.sync_id, gen) if tracer.capture_sync else ()
-            tracer.record(ctx.pe, "barrier", -1, 0, t_start, ctx.clock.now, meta=meta)
+            self.layer.team_barrier(team.group.barrier, team.num_images)
 
     def alloc_symmetric(self, shape, dtype) -> SymmetricArray:
         """Collective symmetric allocation over the current team.

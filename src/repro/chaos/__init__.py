@@ -261,18 +261,19 @@ def _rdht_kernel(updates: int, slots: int, seed: int):
     }
 
 
+def _engine(name, seed):
+    """The ``--engines`` column as an ``engine=`` value: ``cooperative``
+    is a seeded walk, pinning one exact interleaving per cell."""
+    if name == "cooperative":
+        from repro.explore import RandomWalk, Scheduler
+
+        return Scheduler(RandomWalk(seed))
+    return name
+
+
 def _run_rdht(images, machine, faults, deadline_s, quick, engine, seed):
     from repro import caf
 
-    kw = {}
-    if engine == "cooperative":
-        # Cooperative execution is selected by the scheduler itself;
-        # the seeded walk pins one exact interleaving.
-        from repro.explore import RandomWalk, Scheduler
-
-        kw["scheduler"] = Scheduler(RandomWalk(seed))
-    else:
-        kw["engine"] = engine
     updates, slots = (6, 32) if quick else (12, 64)
     return caf.launch(
         _rdht_kernel,
@@ -283,7 +284,7 @@ def _run_rdht(images, machine, faults, deadline_s, quick, engine, seed):
         faults=faults,
         watchdog_s=deadline_s,
         args=(updates, slots, 77),
-        **kw,
+        engine=_engine(engine, seed),
     )
 
 
@@ -315,7 +316,7 @@ def _run_kvservice(images, machine, faults, deadline_s, quick, engine, seed):
         ring_images=2,
         grow_to=images,
         grow_at=max(2, spec.ops // 3),
-        engine=engine,
+        engine=_engine(engine, seed),
         survivable=True,
         faults=faults,
         watchdog_s=deadline_s,

@@ -84,14 +84,10 @@ def linear_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast, cont):
 
 def binomial_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast, cont):
     """Binomial reduction tree, ceil(log2 m) rounds; the paper's own
-    CAF reduction shape (Section II footnote)."""
-    return _binomial_steps(comm, acc, order, idx, combine, broadcast, cont)
-
-
-def _binomial_steps(comm: "TeamComm", acc, order, idx, combine, broadcast, cont):
-    """Binomial tree over ``order`` (virtual rank = position).  Child
-    ``v`` posts to ``v - lowbit(v)`` once its subtree is combined; with
-    ``broadcast`` the result flows back down the same tree on bank 1."""
+    CAF reduction shape (Section II footnote).  The tree runs over
+    ``order`` (virtual rank = position): child ``v`` posts to
+    ``v - lowbit(v)`` once its subtree is combined; with ``broadcast``
+    the result flows back down the same tree on bank 1."""
     n = len(order)
     v = idx
 
@@ -257,7 +253,7 @@ def hier_reduce(comm: "TeamComm", acc, combine, root_rank, cont):
             root_leader = comm.node_ranks[comm.node_index[root_rank]][0]
             order = tuple(sorted(leaders, key=lambda x: (x != root_leader,)))
             idx = order.index(r)
-            return _binomial_steps(comm, acc, order, idx, combine, True, scatter)
+            return binomial_reduce(comm, acc, order, idx, combine, True, scatter)
 
         def got():
             comm.combine_from(acc, group[i], combine)
@@ -277,10 +273,11 @@ def hier_reduce(comm: "TeamComm", acc, combine, root_rank, cont):
 # ----------------------------------------------------------------------
 # Broadcasts
 # ----------------------------------------------------------------------
-def _bcast_steps(comm: "TeamComm", acc, order, idx, cont):
-    """Binomial broadcast over ``order`` (root = position 0): each node
-    forwards to ``v + 2^j`` for every level below the one it received
-    at, halving the frontier each round."""
+def binomial_bcast(comm: "TeamComm", acc, order, idx, cont):
+    """Binomial broadcast tree over ``order`` (root = position 0),
+    ceil(log2 m) rounds: each node forwards to ``v + 2^j`` for every
+    level below the one it received at, halving the frontier each
+    round."""
     n = len(order)
     v = idx
 
@@ -309,11 +306,6 @@ def linear_bcast(comm: "TeamComm", acc, order, idx, cont):
     return comm.wait_step(order[0], 1, cont)
 
 
-def binomial_bcast(comm: "TeamComm", acc, order, idx, cont):
-    """Binomial broadcast tree, ceil(log2 m) rounds."""
-    return _bcast_steps(comm, acc, order, idx, cont)
-
-
 def hier_bcast(comm: "TeamComm", acc, root_rank, cont):
     """Two-level broadcast: binomial over one effective leader per node
     (the root stands in for its own node's leader), then each leader
@@ -338,7 +330,7 @@ def hier_bcast(comm: "TeamComm", acc, root_rank, cont):
         return cont()
 
     if r == my_leader:
-        return _bcast_steps(comm, acc, leaders, leaders.index(r), scatter)
+        return binomial_bcast(comm, acc, leaders, leaders.index(r), scatter)
     return comm.wait_step(my_leader, 1, cont)
 
 

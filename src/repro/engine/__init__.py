@@ -6,14 +6,16 @@ pipeline, and the SPMD driver loop.  See :mod:`repro.engine.base` for
 the interface, and:
 
 * :class:`ThreadedEngine` — one pooled OS thread per PE (default);
-* :class:`CooperativeEngine` — deterministic interleavings under a
-  :class:`repro.explore.Scheduler` (what ``scheduler=`` always meant);
+* :class:`CooperativeEngine` — the deterministic scheduler: one PE
+  runs at a time, a strategy picks who is next
+  (``repro.explore.Scheduler`` is this class; ``"vt"`` builds one
+  under the seedless virtual-time order);
 * :class:`EventEngine` — a single-threaded virtual-time event heap
   driving continuation-passing step programs
   (:mod:`repro.engine.steps`); weak-scales to thousands of PEs.
 
 Select with ``Job(..., engine="event")`` / ``run_spmd(..., engine=...)``
-or by passing an instance.
+or by passing an instance (``engine=Scheduler(RandomWalk(7))``).
 """
 
 from repro.engine.base import Engine, EngineError, WouldBlock, resolve_engine
@@ -28,7 +30,6 @@ from repro.engine.steps import (
     WaitStep,
     alloc_array_step,
     drive,
-    run_steps,
 )
 from repro.engine.threaded import ThreadedEngine
 
@@ -49,6 +50,5 @@ __all__ = [
     "alloc_array_step",
     "drive",
     "resolve_engine",
-    "run_steps",
     "shared_pool",
 ]

@@ -4,32 +4,30 @@ An engine owns *how* the PEs of one :class:`~repro.runtime.launcher.Job`
 execute: what happens at a schedule decision point, how a put's remote
 deposit lands, how a PE blocks (barrier park, value wait, lock spin),
 how the fault plan is consulted, and how the SPMD bodies themselves are
-driven.  The communication layers are engine-agnostic — every former
-``scheduler is None`` / ``faults is None`` branch is now a call through
-the job's engine:
+driven.  The communication layers are engine-agnostic — they never
+branch on which engine runs them, they call through the job's engine:
 
 ========================  =============================================
-hook                      replaces
+hook                      what the layers ask of the engine
 ========================  =============================================
-``decision``              ``if sched is not None: sched.yield_point``
-``deposit`` / ``drain``   ``sched.post_put`` / ``sched.flush`` gates
-``spin_yield``            the ``sleep(..) if sched is None else
-                          yield_point(spin=True)`` idiom in lock loops
-``barrier_wait``          the threaded cond-wait vs cooperative
-                          ``block_until`` split in ``VirtualBarrier``
-``wait_value``            the same split in ``OneSidedLayer.wait_until``
-``priced`` / ``jitter`` / ``if self.faults is not None`` gating plus
-``alloc_check``           the retransmission pipeline itself
-``run``                   the thread-spawning body of ``Job.run``
+``decision``              a schedule decision point (every RMA/sync)
+``deposit`` / ``drain``   hand over a put's remote deposit / force the
+                          caller's deposits to land (``quiet``)
+``spin_yield``            one iteration of a lock spin-retry loop
+``barrier_wait``          park a non-final barrier arriver
+``wait_value``            park in ``OneSidedLayer.wait_until``
+``priced`` / ``jitter`` / the fault plan and the retransmission
+``alloc_check``           pipeline
+``run``                   the body of ``Job.run``
 ========================  =============================================
 
 Three engines exist:
 
-* :class:`~repro.engine.threaded.ThreadedEngine` — today's behaviour:
-  one (pooled) OS thread per PE, blocking on condition variables.
-* :class:`~repro.engine.cooperative.CooperativeEngine` — wraps a
-  :class:`repro.explore.Scheduler`; every hook forwards to the
-  scheduler's decision/park/delivery machinery.
+* :class:`~repro.engine.threaded.ThreadedEngine` — one (pooled) OS
+  thread per PE, blocking on condition variables.
+* :class:`~repro.engine.cooperative.CooperativeEngine` — the
+  deterministic scheduler (``repro.explore.Scheduler`` is this class):
+  pooled threads, exactly one running, a strategy picks who is next.
 * :class:`~repro.engine.event.EventEngine` — no OS threads: PE bodies
   are step programs (see :mod:`repro.engine.steps`) driven off a
   virtual-time event heap.
@@ -127,7 +125,7 @@ class Engine:
         if self.job is not None and self.job is not job:
             raise EngineError(
                 f"{type(self).__name__} is already bound to another job; "
-                f"engines are single-job — build a fresh instance"
+                f"engines are one-shot — build a fresh instance per Job"
             )
         self.job = job
         self.faults = job.faults
@@ -227,8 +225,8 @@ class Engine:
     # ------------------------------------------------------------------
     def decision(self, ctx, op: str, target: int) -> None:
         """A schedule decision point (every RMA/sync call).  Free-running
-        engines do nothing; the cooperative engine hands control to the
-        exploration scheduler here."""
+        engines do nothing; the cooperative engine lets its strategy
+        pick who runs next here."""
 
     def spin_yield(self, ctx, op: str, target: int) -> None:
         """One iteration of a spin-retry loop (lock acquisition).  Must
@@ -315,54 +313,35 @@ class Engine:
         raise NotImplementedError
 
 
-def resolve_engine(engine: Any, scheduler: Any = None) -> Engine:
-    """Coerce the ``engine=`` / ``scheduler=`` launch parameters to an
-    :class:`Engine` instance.
+def resolve_engine(engine: Any) -> Engine:
+    """Coerce the ``engine=`` launch parameter to an :class:`Engine`.
 
-    * ``engine=None, scheduler=None`` — a fresh ``ThreadedEngine``;
-    * ``engine=None, scheduler=S`` — a ``CooperativeEngine(S)``
-      (back-compat: ``scheduler=`` keeps working unchanged);
-    * ``engine="threaded" | "event" | "cooperative"`` — a fresh
-      instance by name (``"cooperative"`` requires ``scheduler=``);
-    * an :class:`Engine` instance — used as-is (must be unbound).
-
-    Passing both an engine and a scheduler is an error unless the
-    engine is a ``CooperativeEngine`` already wrapping that scheduler.
+    * ``None`` / ``"threaded"`` — a fresh ``ThreadedEngine``;
+    * ``"event"`` — a fresh ``EventEngine``;
+    * ``"vt"`` — a fresh ``CooperativeEngine`` under
+      :class:`~repro.explore.scheduler.VirtualTimeOrder`, the seedless
+      deterministic order;
+    * an :class:`Engine` instance — used as-is (must be unbound), e.g.
+      ``Scheduler(RandomWalk(7))`` for one seeded interleaving.
     """
-    from repro.engine.cooperative import CooperativeEngine
-    from repro.engine.event import EventEngine
-    from repro.engine.threaded import ThreadedEngine
-
-    if engine is None:
-        if scheduler is not None:
-            return CooperativeEngine(scheduler)
-        return ThreadedEngine()
     if isinstance(engine, Engine):
-        if scheduler is not None and getattr(engine, "scheduler", None) is not scheduler:
-            raise ValueError(
-                "pass either engine= or scheduler=, not both "
-                "(or a CooperativeEngine wrapping that scheduler)"
-            )
         return engine
+    if engine is None or engine == "threaded":
+        from repro.engine.threaded import ThreadedEngine
+
+        return ThreadedEngine()
+    if engine == "event":
+        from repro.engine.event import EventEngine
+
+        return EventEngine()
+    if engine == "vt":
+        from repro.engine.cooperative import CooperativeEngine
+        from repro.explore.scheduler import VirtualTimeOrder
+
+        return CooperativeEngine(VirtualTimeOrder())
     if isinstance(engine, str):
-        name = engine.lower()
-        if name in ("threaded", "event") and scheduler is not None:
-            raise ValueError(
-                f"engine={name!r} cannot be combined with scheduler=; "
-                f"cooperative execution is selected by the scheduler itself"
-            )
-        if name == "threaded":
-            return ThreadedEngine()
-        if name == "event":
-            return EventEngine()
-        if name == "cooperative":
-            if scheduler is None:
-                raise ValueError(
-                    'engine="cooperative" requires scheduler=Scheduler(...)'
-                )
-            return CooperativeEngine(scheduler)
         raise ValueError(
             f"unknown engine {engine!r}; expected 'threaded', 'event', "
-            f"'cooperative', or an Engine instance"
+            f"'vt', or an Engine instance"
         )
     raise TypeError(f"engine must be a name or Engine instance, got {engine!r}")

@@ -30,8 +30,8 @@ Helpers
 -------
 
 :func:`alloc_array_step` expresses the collective allocation (which
-internally barriers) as a step; :func:`run_steps`/:func:`drive` are the
-inline trampolines used by the blocking engines.
+internally barriers) as a step; :func:`drive` is the inline trampoline
+used by the blocking engines.
 """
 
 from __future__ import annotations
@@ -160,7 +160,3 @@ def drive(step: Any) -> Any:
         else:  # pragma: no cover - future step kinds must extend drivers
             raise TypeError(f"unknown step type {cls.__name__}")
     return step
-
-
-#: Alias kept for symmetry with the event engine's vocabulary.
-run_steps = drive

@@ -1,7 +1,8 @@
 """Deterministic schedule exploration for the simulated PGAS stack.
 
 ``repro.explore`` is the shuttle/Coyote corner of the repo: run a PGAS
-program under a cooperative :class:`Scheduler` where every
+program under a cooperative :class:`Scheduler` (the cooperative
+engine, :class:`repro.engine.CooperativeEngine`) where every
 sync/communication decision point (the same points the tracer and the
 fault injector hook) yields to a pluggable :class:`Strategy`, so **one
 seed names one exact interleaving** — replayable bit-for-bit from a
@@ -19,7 +20,7 @@ Entry points:
 
       @schedules(n=10, seed=7)
       def test_kernel_schedule_independent(schedule):
-          out = caf.launch(kernel, 2, scheduler=schedule())
+          out = caf.launch(kernel, 2, engine=schedule())
           assert out == expected
 
   Each parametrized case's ``schedule()`` builds a fresh single-use
@@ -121,8 +122,8 @@ def schedules(
 
     The test receives a ``schedule`` argument; ``schedule()`` returns a
     fresh :class:`Scheduler` (case *i* seeds its strategy with
-    ``seed + i``) to pass as ``Job(..., scheduler=...)`` or
-    ``caf.launch(..., scheduler=...)``.
+    ``seed + i``) to pass as ``Job(..., engine=...)`` or
+    ``caf.launch(..., engine=...)``.
     """
     import pytest
 

@@ -1,6 +1,6 @@
 """The exploration corpus: small PGAS programs with known race status.
 
-Each :class:`ExploreProgram` runs a kernel under one scheduler and
+Each :class:`ExploreProgram` runs a kernel under one engine and
 reduces the outcome to a *canonical digest* — a SHA-256 over the
 program's semantically meaningful results only.  Schedule-dependent
 incidentals (virtual timestamps, freed-heap residue such as MCS queue
@@ -63,9 +63,10 @@ def _digest(obj: Any) -> str:
 class ExploreProgram:
     """One corpus entry.
 
-    ``run(scheduler, images=..., machine=..., trace=..., faults=...)``
-    executes the kernel under the given scheduler (``None`` = default
-    threaded engine) and returns ``(digest, tracer)``; ``tracer`` is a
+    ``run(engine, images=..., machine=..., trace=..., faults=...)``
+    executes the kernel under the given ``engine=`` value (a fresh
+    :class:`~repro.explore.Scheduler`; ``None`` = default threaded
+    engine) and returns ``(digest, tracer)``; ``tracer`` is a
     :class:`~repro.trace.events.Tracer` when ``trace=True`` was asked
     for and the program supports tracing, else ``None``.
     """
@@ -82,7 +83,7 @@ def _caf_run(
     images: int,
     *,
     machine: str,
-    scheduler: Any,
+    engine: Any,
     ordering: str = "caf",
     trace: bool = False,
     faults: Any = None,
@@ -93,12 +94,7 @@ def _caf_run(
     from repro.caf import attach as caf_attach
     from repro.runtime.launcher import Job
 
-    job_kwargs: dict[str, Any] = {}
-    if faults is not None:
-        job_kwargs["faults"] = faults
-    if scheduler is not None:
-        job_kwargs["scheduler"] = scheduler
-    job = Job(images, machine, **job_kwargs)
+    job = Job(images, machine, faults=faults, engine=engine)
     rt = caf_attach(job, backend=_CONFIG.backend, ordering=ordering)
     tracer = None
     if trace:
@@ -137,7 +133,7 @@ def _dht_distinct_keys(n_images: int, slots: int, count: int) -> list[int]:
 
 
 def _run_dht(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -159,14 +155,14 @@ def _run_dht(
         return table.keys.local.tolist(), table.values.local.tolist()
 
     results, tracer = _caf_run(
-        kernel, images, machine=machine, scheduler=scheduler,
+        kernel, images, machine=machine, engine=engine,
         trace=trace, faults=faults,
     )
     return _digest(results), tracer
 
 
 def _run_himeno(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -175,14 +171,14 @@ def _run_himeno(
 ) -> tuple[str, Any]:
     res = himeno_caf(
         machine, _CONFIG, images, grid="XS", iterations=2,
-        faults=faults, scheduler=scheduler,
+        faults=faults, engine=engine,
     )
     # Float bit pattern, not repr: the digest must catch 1-ulp drift.
     return _digest([res.gosa.hex(), res.iterations]), None
 
 
 def _run_locks(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -205,7 +201,7 @@ def _run_locks(
         return int(counter.on(1)[0])
 
     results, tracer = _caf_run(
-        kernel, images, machine=machine, scheduler=scheduler,
+        kernel, images, machine=machine, engine=engine,
         trace=trace, faults=faults,
     )
     # Every schedule must observe exactly rounds * images increments.
@@ -213,7 +209,7 @@ def _run_locks(
 
 
 def _run_events(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -250,7 +246,7 @@ def _run_events(
         return seen
 
     results, tracer = _caf_run(
-        kernel, images, machine=machine, scheduler=scheduler,
+        kernel, images, machine=machine, engine=engine,
         trace=trace, faults=faults,
     )
     return _digest(results), tracer
@@ -262,7 +258,7 @@ def _run_events(
 
 
 def _run_missing_quiet(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -290,14 +286,14 @@ def _run_missing_quiet(
         return snapshot
 
     results, tracer = _caf_run(
-        kernel, images, machine=machine, scheduler=scheduler,
+        kernel, images, machine=machine, engine=engine,
         ordering="relaxed", trace=trace, faults=faults,
     )
     return _digest(results), tracer
 
 
 def _run_unordered_conflict(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -316,14 +312,14 @@ def _run_unordered_conflict(
         return int(data.on(1)[0])
 
     results, tracer = _caf_run(
-        kernel, images, machine=machine, scheduler=scheduler,
+        kernel, images, machine=machine, engine=engine,
         ordering="relaxed", trace=trace, faults=faults,
     )
     return _digest(results), tracer
 
 
 def _run_kvservice(
-    scheduler: Any,
+    engine: Any,
     *,
     images: int,
     machine: str,
@@ -346,8 +342,7 @@ def _run_kvservice(
         scan_frac=0.0, mean_interarrival_us=2.0, seed=31, disjoint=True,
     )
     results = kv_run_cell(
-        spec, images=images, machine=machine, scheduler=scheduler,
-        engine="threaded", faults=faults,
+        spec, images=images, machine=machine, engine=engine, faults=faults,
     )
     canon = [
         {"pairs": r["pairs"], "ops": r["ops"], "acked": r["acked"],

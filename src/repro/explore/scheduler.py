@@ -1,65 +1,28 @@
-"""The deterministic cooperative scheduler (shuttle/Coyote style).
+"""Schedule strategies for the cooperative engine.
 
-Threaded jobs interleave PEs wherever the OS preempts them; a
-:class:`Scheduler`-mode job serializes them instead.  Every PE thread
-still exists, but exactly one runs at a time: at each *decision point*
-(the same sync/communication points the tracer and the fault injector
-hook) the running task re-enters the scheduler, which consults a
-:class:`Strategy` to pick who runs next.  One strategy seed therefore
-names one exact interleaving, replayable bit-for-bit from a recorded
-choice list.
-
-Scheduler mode also models OpenSHMEM's weak completion order
-*explicitly*: a ``put``'s bytes do not land at the target during the
-call.  They are enqueued on the initiator's delivery queue, and the
-queue's head becomes an extra schedulable choice (``n<pe>`` tokens) —
-the "network" delivering one message.  ``quiet`` force-flushes the
-caller's queue (that is exactly what ``shmem_quiet`` promises), atomics
-bypass the queue (the NIC atomic unit is not write-buffered), and
-same-initiator delivery is FIFO, which subsumes ``shmem_fence``.  A
-missing-quiet bug thus produces genuinely divergent schedules instead
-of relying on wall-clock luck.
-
-Choice tokens
--------------
-``p<i>``  — run PE *i* until its next decision point.
-``n<i>``  — deliver the oldest pending put of initiator PE *i*.
-
-Blocking primitives (barrier waits, ``wait_until``) call
-:meth:`Scheduler.block_until`; a blocked task is simply not offered as
-a choice until its predicate holds.  If no task is runnable and no
-delivery is pending, the run has genuinely deadlocked and the scheduler
-raises :class:`DeadlockError` with a report naming every blocked task —
-instantly, where the threaded engine would idle until the watchdog.
+The deterministic scheduler itself is the cooperative engine
+(:class:`repro.engine.cooperative.CooperativeEngine`, re-exported here
+under its exploration name :class:`Scheduler`): it serializes a job's
+PE threads and, at every decision point, offers a sorted list of
+*choice tokens* — ``p<i>`` (run PE *i* until its next decision point)
+and ``n<i>`` (deliver the oldest pending put of initiator PE *i*) — to
+a :class:`Strategy`.  This module holds the strategies: seeded random
+walk, PCT priorities, virtual-time order, verbatim and guided replay,
+and the exhaustive enumerator.  ``Scheduler(RandomWalk(7))`` is an
+engine; pass it as ``engine=``.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Callable
+from typing import Any
 
-from repro.runtime.launcher import JobAborted
-
-#: Step ceiling per schedule: far above any explore program, low enough
-#: that a livelocked schedule fails fast instead of spinning forever.
-DEFAULT_MAX_STEPS = 100_000
-
-
-class DeadlockError(RuntimeError):
-    """No runnable task and no pending delivery: the schedule deadlocked."""
-
-
-class ScheduleLimitError(RuntimeError):
-    """The schedule exceeded ``max_steps`` decision points (livelock guard)."""
-
-
-def pe_token(pe: int) -> str:
-    return f"p{pe}"
-
-
-def net_token(pe: int) -> str:
-    return f"n{pe}"
+from repro.engine.cooperative import (  # noqa: F401 - re-exported
+    DEFAULT_MAX_STEPS,
+    CooperativeEngine as Scheduler,
+    DeadlockError,
+    ScheduleLimitError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +48,10 @@ class Strategy:
 
     def note_yield(self, token: str, spin: bool) -> None:
         pass
+
+    def bind_job(self, job: Any) -> None:
+        """Called once when the engine is bound (clock-aware strategies
+        keep the job to read PE clocks)."""
 
     def describe(self) -> dict:
         return {"strategy": self.name}
@@ -313,226 +280,6 @@ def make_strategy(name: str, seed: int, **opts: Any) -> Strategy:
     if name == "vt":
         return VirtualTimeOrder(seed)
     raise ValueError(f"unknown strategy {name!r} (exhaustive runs via the explorer)")
-
-
-# ---------------------------------------------------------------------------
-# The scheduler
-# ---------------------------------------------------------------------------
-
-
-class Scheduler:
-    """Serializes a job's PE threads under a :class:`Strategy`.
-
-    One-shot: bind it to exactly one :class:`~repro.runtime.launcher.Job`
-    (``Job(..., scheduler=...)`` does this) and run that job once.  The
-    executed choice sequence is left in :attr:`trace` for replay.
-    """
-
-    def __init__(
-        self, strategy: Strategy, *, max_steps: int = DEFAULT_MAX_STEPS
-    ) -> None:
-        self.strategy = strategy
-        self.max_steps = int(max_steps)
-        self.trace: list[str] = []
-        self.steps = 0
-        self.done = False
-        #: Set when the scheduler itself killed the run from a task-exit
-        #: path (deadlock among the survivors): ``(pe, exception)``.
-        self.failure: tuple[int, BaseException] | None = None
-        self._job: Any = None
-        self._lock = None  # created at bind; threading import kept local
-        self._events: list[Any] = []
-        self._queues: list[deque] = []
-        self._registered: set[int] = set()
-        self._finished: set[int] = set()
-        self._blocked: dict[int, tuple[Callable[[], bool], str]] = {}
-
-    # -- lifecycle ------------------------------------------------------
-    def bind(self, job: Any) -> None:
-        import threading
-
-        if self._job is not None:
-            raise RuntimeError("a Scheduler is one-shot; build a fresh one per Job")
-        self._job = job
-        bind_job = getattr(self.strategy, "bind_job", None)
-        if bind_job is not None:
-            bind_job(job)  # clock-aware strategies read PE clocks from it
-        self.num_pes = job.num_pes
-        self._lock = threading.Lock()
-        self._events = [threading.Event() for _ in range(job.num_pes)]
-        self._queues = [deque() for _ in range(job.num_pes)]
-
-    def start_task(self, pe: int) -> None:
-        """First call from each PE thread; returns when the PE is picked."""
-        if self.done:
-            raise RuntimeError("this Scheduler's job already ran; it is one-shot")
-        park = False
-        with self._lock:
-            self._registered.add(pe)
-            if len(self._registered) == self.num_pes:
-                nxt = self._pick()
-                if nxt == pe:
-                    return
-                self._events[nxt].set()
-                park = True
-            else:
-                park = True
-        if park:
-            self._await_turn(pe)
-
-    def task_exit(self, pe: int) -> None:
-        """Final call from each PE thread (normal return or unwind).
-
-        Never raises: a deadlock among the survivors is recorded in
-        :attr:`failure` and the job aborted, so the launcher can report
-        it as a :class:`JobFailure` after joining.
-        """
-        with self._lock:
-            if pe in self._finished:
-                return
-            self._finished.add(pe)
-            self._blocked.pop(pe, None)
-            if len(self._finished) == self.num_pes:
-                # End of job completes all outstanding puts (finalize
-                # semantics), deterministically in PE order.
-                for q in self._queues:
-                    while q:
-                        q.popleft()()
-                self.done = True
-                return
-            if self._job.aborted():
-                self._wake_all()
-                return
-            try:
-                nxt = self._pick()
-            except (DeadlockError, ScheduleLimitError) as exc:
-                self.failure = (pe, exc)
-                self._job.abort()
-                self._wake_all()
-                return
-            if nxt is not None:
-                self._events[nxt].set()
-
-    # -- decision points ------------------------------------------------
-    def yield_point(
-        self, pe: int, op: str = "", target: int = -1, *, spin: bool = False
-    ) -> None:
-        """The running PE is about to issue ``op``; let the strategy
-        decide who proceeds."""
-        if self._job.aborted():
-            raise JobAborted(f"job aborted at {op} decision point")
-        with self._lock:
-            self.strategy.note_yield(pe_token(pe), spin)
-            nxt = self._pick()
-            if nxt == pe:
-                return
-            if nxt is not None:
-                self._events[nxt].set()
-        self._await_turn(pe)
-
-    def block_until(self, pe: int, predicate: Callable[[], bool], reason: str = "") -> None:
-        """Park the running PE until ``predicate()`` holds.
-
-        The predicate is re-evaluated by the scheduler after every step
-        (other tasks' progress or message deliveries may satisfy it);
-        the PE is only offered as a choice again once it does.
-        """
-        if self._job.aborted():
-            raise JobAborted(f"job aborted entering {reason or 'block'}")
-        with self._lock:
-            self.strategy.note_yield(pe_token(pe), False)
-            if not predicate():
-                self._blocked[pe] = (predicate, reason)
-            nxt = self._pick()
-            if nxt == pe:
-                return
-            if nxt is not None:
-                self._events[nxt].set()
-        self._await_turn(pe)
-
-    def post_put(self, pe: int, deliver: Callable[[], None]) -> None:
-        """Enqueue a put's target-side deposit for later delivery."""
-        self._queues[pe].append(deliver)
-
-    def flush(self, pe: int) -> None:
-        """``quiet``: deliver every pending put of ``pe``, in order."""
-        with self._lock:
-            q = self._queues[pe]
-            while q:
-                q.popleft()()
-
-    def pending(self, pe: int) -> int:
-        return len(self._queues[pe])
-
-    # -- internals ------------------------------------------------------
-    def _pick(self) -> int | None:
-        """Pick the next PE to run (lock held).  Deliveries chosen by
-        the strategy are executed inline; returns None when every task
-        has finished."""
-        while True:
-            for t in sorted(self._blocked):
-                predicate, _ = self._blocked[t]
-                if predicate():
-                    del self._blocked[t]
-            choices = [
-                pe_token(t)
-                for t in range(self.num_pes)
-                if t not in self._finished and t not in self._blocked
-            ]
-            choices += [net_token(t) for t in range(self.num_pes) if self._queues[t]]
-            if not choices:
-                if len(self._finished) == self.num_pes:
-                    return None
-                raise DeadlockError(self._deadlock_report())
-            if self.steps >= self.max_steps:
-                raise ScheduleLimitError(
-                    f"schedule exceeded {self.max_steps} steps "
-                    f"(livelocked spin loop?); last choices: {choices}"
-                )
-            token = self.strategy.choose(self.steps, choices)
-            if token not in choices:
-                raise RuntimeError(
-                    f"strategy returned {token!r}, not one of {choices}"
-                )
-            self.steps += 1
-            self.trace.append(token)
-            if token[0] == "n":
-                self._queues[int(token[1:])].popleft()()
-                continue
-            return int(token[1:])
-
-    def _deadlock_report(self) -> str:
-        lines = [
-            f"deadlock after {self.steps} steps: no runnable task, "
-            f"no pending delivery ({len(self._finished)}/{self.num_pes} "
-            f"PEs finished)"
-        ]
-        for t in sorted(self._blocked):
-            lines.append(f"  PE {t} blocked in {self._blocked[t][1] or '<unnamed wait>'}")
-        return "\n".join(lines)
-
-    def _wake_all(self) -> None:
-        for ev in self._events:
-            ev.set()
-
-    def _await_turn(self, pe: int) -> None:
-        ev = self._events[pe]
-        wd = getattr(self._job, "watchdog", None)
-        guard_cm = wd.watch(pe, "scheduler wait") if wd is not None else None
-        try:
-            if guard_cm is not None:
-                guard = guard_cm.__enter__()
-            while not ev.wait(timeout=0.1):
-                if self._job.aborted():
-                    raise JobAborted("job aborted while awaiting schedule turn")
-                if guard_cm is not None:
-                    guard.poll()
-        finally:
-            if guard_cm is not None:
-                guard_cm.__exit__(None, None, None)
-        ev.clear()
-        if self._job.aborted():
-            raise JobAborted("job aborted while awaiting schedule turn")
 
 
 def spin_hint() -> None:

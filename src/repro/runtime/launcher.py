@@ -10,13 +10,13 @@ and the communication-layer instances (:mod:`repro.shmem`,
 *How* the PEs execute is owned by the job's
 :class:`~repro.engine.base.Engine` (``engine=`` parameter):
 
-* ``engine=None`` (default) — the pooled thread-per-PE
-  :class:`~repro.engine.threaded.ThreadedEngine`, bit-identical to the
-  historical launcher;
-* ``scheduler=Scheduler(...)`` — cooperative deterministic
-  interleavings (wrapped in a
-  :class:`~repro.engine.cooperative.CooperativeEngine`; the
-  ``scheduler=`` parameter keeps working unchanged);
+* ``engine=None`` / ``"threaded"`` (default) — the pooled
+  thread-per-PE :class:`~repro.engine.threaded.ThreadedEngine`;
+* ``engine=Scheduler(RandomWalk(seed))`` — one deterministic
+  interleaving on the cooperative engine
+  (:class:`~repro.engine.cooperative.CooperativeEngine`, which
+  ``repro.explore.Scheduler`` names); ``engine="vt"`` is the same
+  engine under the seedless virtual-time order;
 * ``engine="event"`` — the thread-free discrete-event
   :class:`~repro.engine.event.EventEngine` for weak-scaling runs at
   thousands of PEs (PE bodies as step programs).
@@ -47,10 +47,6 @@ from repro.sim.topology import Machine, Topology
 from repro.util.allocator import FreeListAllocator
 
 DEFAULT_HEAP_BYTES = 4 * 1024 * 1024
-#: Ceiling for thread-backed engines (one OS thread per PE).  Engines
-#: declare their own ``max_pes``; the event engine raises this to
-#: :data:`~repro.engine.base.Engine.max_pes` of its class (16384).
-MAX_PES = 4096
 
 
 class JobAborted(RuntimeError):
@@ -94,7 +90,6 @@ class Job:
         heap_bytes: int = DEFAULT_HEAP_BYTES,
         faults: FaultPlan | FaultInjector | None = None,
         watchdog_s: float | None = None,
-        scheduler: Any = None,
         engine: Any = None,
         survivable: bool = False,
     ) -> None:
@@ -104,8 +99,8 @@ class Job:
         # not be allocated for a count we are about to reject.
         from repro.engine import resolve_engine
 
-        self.engine = resolve_engine(engine, scheduler)
-        max_pes = getattr(self.engine, "max_pes", MAX_PES)
+        self.engine = resolve_engine(engine)
+        max_pes = self.engine.max_pes
         if not 1 <= num_pes <= max_pes:
             raise ValueError(
                 f"num_pes must be in [1, {max_pes}] "
@@ -161,21 +156,10 @@ class Job:
             self.faults = faults
         else:
             self.faults = FaultInjector(faults, num_pes)
-        # Optional deterministic cooperative scheduler
-        # (:class:`repro.explore.Scheduler`), kept as an attribute for
-        # existing callers; execution-wise it lives inside the engine.
-        self.scheduler = scheduler
         # Always-on hang detection; wall-clock only, so it has zero
         # effect on virtual times unless it fires.
         self.watchdog = Watchdog(self, deadline_s=watchdog_s)
-        if self.scheduler is None:
-            # An explicitly-passed CooperativeEngine carries the
-            # scheduler; surface it so layer/runtime introspection and
-            # the scheduler's own bind still work.
-            self.scheduler = getattr(self.engine, "scheduler", None)
         self.engine.bind(self)
-        if self.scheduler is not None:
-            self.scheduler.bind(self)
 
     # ------------------------------------------------------------------
     def aborted(self) -> bool:
@@ -221,7 +205,6 @@ def run_spmd(
     heap_bytes: int = DEFAULT_HEAP_BYTES,
     faults: FaultPlan | FaultInjector | None = None,
     watchdog_s: float | None = None,
-    scheduler: Any = None,
     engine: Any = None,
     survivable: bool = False,
     args: Sequence[Any] = (),
@@ -229,9 +212,8 @@ def run_spmd(
 ) -> list[Any]:
     """One-shot convenience: build a :class:`Job` and run ``fn`` on it.
 
-    ``faults``, ``watchdog_s``, ``scheduler``, ``engine``, and
-    ``survivable`` are forwarded to the :class:`Job` (historically
-    ``faults``/``watchdog_s`` were silently dropped here).
+    ``faults``, ``watchdog_s``, ``engine``, and ``survivable`` are
+    forwarded to the :class:`Job`.
     """
     job = Job(
         num_pes,
@@ -239,7 +221,6 @@ def run_spmd(
         heap_bytes=heap_bytes,
         faults=faults,
         watchdog_s=watchdog_s,
-        scheduler=scheduler,
         engine=engine,
         survivable=survivable,
     )

@@ -137,22 +137,13 @@ class VirtualBarrier:
 
         ``cost`` is the virtual duration of the barrier algorithm itself
         (e.g. ``NetworkModel.barrier_cost``); the last arriver's value
-        is used — callers pass the same constant.
-        """
-        return self.wait_gen(ctx, cost)[0]
-
-    def wait_gen(self, ctx: PEContext, cost: float = 0.0) -> tuple[float, int]:
-        """Like :meth:`wait`, also returning the episode's generation.
-
-        The generation is captured at arrival (the last arriver bumps it
-        after capture), so every participant of one episode sees the
-        same number.  Non-final arrivers park through the job engine's
-        ``barrier_wait`` hook.
+        is used — callers pass the same constant.  Non-final arrivers
+        park through the job engine's ``barrier_wait`` hook.
         """
         gen, released = self.arrive(ctx, cost)
         if not released:
             ctx.job.engine.barrier_wait(ctx, self, gen)
-        return self.depart(ctx, gen), gen
+        return self.depart(ctx, gen)
 
 
 class CollectiveState:

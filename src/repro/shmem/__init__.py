@@ -132,7 +132,6 @@ def launch(
     heap_bytes: int | None = None,
     faults: Any = None,
     watchdog_s: float | None = None,
-    scheduler: Any = None,
     engine: Any = None,
     survivable: bool = False,
     args: Sequence[Any] = (),
@@ -144,9 +143,8 @@ def launch(
     :class:`~repro.sim.faults.FaultPlan` (or prebuilt
     :class:`~repro.sim.faults.FaultInjector`); ``watchdog_s`` overrides
     the hang watchdog's wall-clock stall deadline.  ``engine`` selects
-    the execution engine (``"threaded"``/``"event"``/``"cooperative"``
-    or an :class:`~repro.engine.Engine` instance; see
-    :mod:`repro.engine`).
+    the execution engine (``"threaded"``/``"event"``/``"vt"`` or an
+    :class:`~repro.engine.Engine` instance; see :mod:`repro.engine`).
     ``survivable=True`` turns injected crashes into *failed images*
     (Fortran-2018 semantics) instead of job aborts: survivors keep
     running, and operations targeting a failed PE raise
@@ -159,7 +157,6 @@ def launch(
         heap_bytes=DEFAULT_HEAP_BYTES if heap_bytes is None else heap_bytes,
         faults=faults,
         watchdog_s=watchdog_s,
-        scheduler=scheduler,
         engine=engine,
         survivable=survivable,
     )

@@ -120,27 +120,16 @@ class ShmemLayer(OneSidedLayer):
     ) -> None:
         """``shmem_barrier(PE_start, logPE_stride, PE_size)``: quiet +
         barrier over the active set only."""
-        from repro.runtime.context import current as _current
         from repro.runtime.groups import active_set_pes
 
-        ctx = _current()
         members = active_set_pes(pe_start, log_pe_stride, pe_size, self.job.num_pes)
-        if ctx.pe not in members:
+        pe = current().pe
+        if pe not in members:
             raise ValueError(
-                f"PE {ctx.pe} called a barrier over active set {members} "
+                f"PE {pe} called a barrier over active set {members} "
                 f"it does not belong to"
             )
-        t_start = ctx.clock.now
-        self.quiet()
-        group = self.job.groups.get(members)
-        cost = self.job.network.barrier_cost(len(members), self.profile)
-        _, gen = group.barrier.wait_gen(ctx, cost)
-        tracer = self.job.tracer
-        if tracer is not None and tracer.capture_sync:
-            tracer.record(
-                ctx.pe, "barrier", -1, 0, t_start, ctx.clock.now,
-                meta=("b", group.barrier.sync_id, gen),
-            )
+        self.team_barrier(self.job.groups.get(members).barrier, len(members))
 
     def active_set_to_all(
         self,

@@ -45,10 +45,8 @@ def _make_step(layer, members, kind, algo, dtype, nelems, cont):
 
 
 def _run_one(engine, num_pes, members, kind, algo, dtype, nelems, seed=11):
-    kwargs = {}
-    if engine == "cooperative":
-        kwargs["scheduler"] = Scheduler(RandomWalk(seed=seed))
-    job = Job(num_pes, "stampede", heap_bytes=1 << 15, engine=engine, **kwargs)
+    how = Scheduler(RandomWalk(seed=seed)) if engine == "cooperative" else engine
+    job = Job(num_pes, "stampede", heap_bytes=1 << 15, engine=how)
     layer = shmem_attach(job)
     tracer = trace_attach(job, capture_sync=True)
 

@@ -3,7 +3,8 @@
 The engines promise *bit-identical* virtual times and traces for any
 program whose threaded execution is schedule-independent.  The seeded
 generator below emits such programs: each phase picks exactly one
-active PE which issues a random run of puts/gets/atomics/delays, then
+active PE which issues a random run of puts/gets/atomics
+(``fadd``/``set``/``fetch``)/delays, then
 everyone barriers — no two PEs ever contend for a timeline, so the
 threaded, cooperative (explore scheduler), and event engines must agree
 on every PE's final value, final virtual clock, and the full trace
@@ -29,6 +30,7 @@ HEAP = 1 << 15
 ELEMS = 8
 
 ENGINES = ("threaded", "cooperative", "event")
+ATOMIC_OPS = ("fadd", "set", "fetch")
 
 
 def make_script(seed: int, num_pes: int, phases: int):
@@ -40,7 +42,8 @@ def make_script(seed: int, num_pes: int, phases: int):
         ops = []
         for _ in range(rng.randint(1, 3)):
             kind = rng.choice(("put", "get", "atomic", "delay"))
-            ops.append((kind, rng.randrange(num_pes), rng.randint(1, ELEMS)))
+            ops.append((kind, rng.randrange(num_pes), rng.randint(1, ELEMS),
+                        rng.choice(ATOMIC_OPS)))
         script.append((active, ops))
     return script
 
@@ -56,13 +59,14 @@ def make_body(layer, script):
                 return Done((int(arr.local.sum()), ctx.clock.now))
             active, ops = script[i]
             if pe == active:
-                for kind, target, k in ops:
+                for kind, target, k, amo in ops:
                     if kind == "put":
                         layer.put(arr, payload[:k], target, offset=0)
                     elif kind == "get":
                         layer.get(arr, k, target, offset=0)
                     elif kind == "atomic":
-                        layer.atomic(arr, target, 0, "fadd", k)
+                        operands = () if amo == "fetch" else (k,)
+                        layer.atomic(arr, target, 0, amo, *operands)
                     else:
                         ctx.clock.advance(float(k))
             return BarrierStep(layer, lambda: run_phase(arr, i + 1))
@@ -74,12 +78,9 @@ def make_body(layer, script):
 
 def run_once(engine_name: str, seed: int, num_pes: int, phases: int,
              faults=None):
-    kwargs = {"faults": faults} if faults is not None else {}
-    if engine_name == "cooperative":
-        job = Job(num_pes, heap_bytes=HEAP,
-                  scheduler=Scheduler(RandomWalk(seed)), **kwargs)
-    else:
-        job = Job(num_pes, heap_bytes=HEAP, engine=engine_name, **kwargs)
+    engine = (Scheduler(RandomWalk(seed)) if engine_name == "cooperative"
+              else engine_name)
+    job = Job(num_pes, heap_bytes=HEAP, engine=engine, faults=faults)
     layer = shmem_attach(job)
     tracer = trace_attach(job)
     body = make_body(layer, make_script(seed, num_pes, phases))

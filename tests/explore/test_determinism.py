@@ -31,7 +31,7 @@ def test_himeno_result_and_virtual_times_bit_identical():
     for _ in range(2):
         res = himeno_caf(
             "stampede", config, 4, grid="XS", iterations=2,
-            scheduler=Scheduler(RandomWalk(7)),
+            engine=Scheduler(RandomWalk(7)),
         )
         runs.append((res.gosa, res.elapsed_us, res.mflops))
     assert runs[0] == runs[1]

@@ -184,12 +184,12 @@ def _accumulate_kernel():
 @schedules(n=5, seed=23)
 def test_schedules_decorator_runs_fresh_schedulers(schedule):
     sched = schedule()
-    out = caf.launch(_accumulate_kernel, 2, scheduler=sched)
+    out = caf.launch(_accumulate_kernel, 2, engine=sched)
     assert out == [3, 3]
     assert sched.steps > 0
 
 
 @schedules(n=2, strategy="pct", seed=31)
 def test_schedules_decorator_pct(schedule):
-    out = caf.launch(_accumulate_kernel, 2, scheduler=schedule())
+    out = caf.launch(_accumulate_kernel, 2, engine=schedule())
     assert out == [3, 3]

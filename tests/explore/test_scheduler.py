@@ -85,7 +85,7 @@ def test_same_seed_same_interleaving_and_result():
     runs = []
     for _ in range(2):
         sched = _sched(42)
-        out = caf.launch(_counter_kernel, 3, scheduler=sched)
+        out = caf.launch(_counter_kernel, 3, engine=sched)
         runs.append((out, list(sched.trace), sched.steps))
     assert runs[0] == runs[1]
     assert runs[0][0] == [6, 6, 6]
@@ -94,10 +94,10 @@ def test_same_seed_same_interleaving_and_result():
 
 def test_recorded_trace_replays_exactly():
     sched = _sched(7)
-    out = caf.launch(_counter_kernel, 2, scheduler=sched)
+    out = caf.launch(_counter_kernel, 2, engine=sched)
     strategy = ReplaySchedule(sched.trace)
     replayed = Scheduler(strategy)
-    out2 = caf.launch(_counter_kernel, 2, scheduler=replayed)
+    out2 = caf.launch(_counter_kernel, 2, engine=replayed)
     assert out2 == out
     assert list(replayed.trace) == list(sched.trace)
     assert strategy.mismatches == 0
@@ -109,7 +109,7 @@ def test_different_seeds_reach_different_outcomes():
     finals = set()
     for seed in range(12):
         out = caf.launch(
-            _conflict_kernel, 2, ordering="relaxed", scheduler=_sched(seed)
+            _conflict_kernel, 2, ordering="relaxed", engine=_sched(seed)
         )
         assert out[0] == out[1]  # read back after the closing barrier
         finals.add(out[0])
@@ -118,17 +118,17 @@ def test_different_seeds_reach_different_outcomes():
 
 def test_scheduler_is_single_use():
     sched = _sched(0)
-    caf.launch(_counter_kernel, 2, scheduler=sched)
+    caf.launch(_counter_kernel, 2, engine=sched)
     with pytest.raises(RuntimeError, match="one-shot"):
-        caf.launch(_counter_kernel, 2, scheduler=sched)
+        caf.launch(_counter_kernel, 2, engine=sched)
 
 
 def test_guided_prefix_completes_nonpreemptively():
     sched = _sched(5)
-    caf.launch(_counter_kernel, 2, scheduler=sched)
+    caf.launch(_counter_kernel, 2, engine=sched)
     cut = len(sched.trace) // 2
     guided = Scheduler(GuidedPrefix(sched.trace[:cut]))
-    out = caf.launch(_counter_kernel, 2, scheduler=guided)
+    out = caf.launch(_counter_kernel, 2, engine=guided)
     assert out == [4, 4]  # race-free kernel: any completion is correct
     assert guided.trace[:cut] == sched.trace[:cut]
 
@@ -140,7 +140,7 @@ def test_guided_prefix_completes_nonpreemptively():
 
 def test_orphan_wait_is_reported_as_deadlock():
     with pytest.raises(JobFailure) as ei:
-        caf.launch(_orphan_wait_kernel, 2, scheduler=_sched(3))
+        caf.launch(_orphan_wait_kernel, 2, engine=_sched(3))
     kinds = [type(exc) for _, exc in ei.value.failures]
     assert DeadlockError in kinds
     deadlock = next(e for _, e in ei.value.failures if isinstance(e, DeadlockError))
@@ -154,7 +154,7 @@ def test_mismatched_barrier_is_reported_as_deadlock():
         return caf.this_image()
 
     with pytest.raises(JobFailure) as ei:
-        caf.launch(kernel, 2, scheduler=_sched(1))
+        caf.launch(kernel, 2, engine=_sched(1))
     assert any(isinstance(e, DeadlockError) for _, e in ei.value.failures)
 
 
@@ -162,7 +162,7 @@ def test_spin_livelock_hits_step_limit():
     with pytest.raises(JobFailure) as ei:
         caf.launch(
             _livelock_kernel, 2,
-            scheduler=Scheduler(RandomWalk(2), max_steps=800),
+            engine=Scheduler(RandomWalk(2), max_steps=800),
         )
     assert any(isinstance(e, ScheduleLimitError) for _, e in ei.value.failures)
 
@@ -185,7 +185,7 @@ def test_bogus_strategy_choice_is_rejected():
             return "p999"
 
     with pytest.raises(JobFailure) as ei:
-        caf.launch(_counter_kernel, 2, scheduler=Scheduler(Bogus()))
+        caf.launch(_counter_kernel, 2, engine=Scheduler(Bogus()))
     assert any(
         isinstance(e, RuntimeError) and "strategy returned" in str(e)
         for _, e in ei.value.failures
@@ -196,16 +196,16 @@ def test_pct_depth_changes_schedules():
     traces = set()
     for depth in (1, 2, 4):
         sched = Scheduler(make_strategy("pct", 11, depth=depth))
-        caf.launch(_counter_kernel, 3, scheduler=sched)
+        caf.launch(_counter_kernel, 3, engine=sched)
         traces.add(tuple(sched.trace))
     # Same seed, different depths: at least two distinct interleavings.
     assert len(traces) >= 2
 
 
 def test_exhaustive_enumeration_covers_and_terminates():
-    def runner(scheduler, *, images, machine, trace=False, faults=None):
+    def runner(engine, *, images, machine, trace=False, faults=None):
         out = caf.launch(
-            _barrier_only_kernel, images, machine, scheduler=scheduler
+            _barrier_only_kernel, images, machine, engine=engine
         )
         return repr(out), None
 
@@ -245,7 +245,7 @@ def test_fault_plan_composes_with_any_schedule():
     for seed in (1, 2, 3):
         outs.append(
             caf.launch(
-                _counter_kernel, 2, faults=plan, scheduler=_sched(seed)
+                _counter_kernel, 2, faults=plan, engine=_sched(seed)
             )
         )
     assert outs[0] == outs[1] == outs[2] == [4, 4]
@@ -256,7 +256,7 @@ def test_injected_crash_is_schedule_independent():
     kinds = set()
     for seed in (4, 9):
         with pytest.raises(JobFailure) as ei:
-            caf.launch(_counter_kernel, 2, faults=plan, scheduler=_sched(seed))
+            caf.launch(_counter_kernel, 2, faults=plan, engine=_sched(seed))
         kinds.add(type(ei.value.failures[0][1]))
     assert kinds == {InjectedCrash}
 

@@ -294,11 +294,10 @@ def _make_body(layer, script):
 
 def _run_survivable(engine_name, seed, num_pes, phases, plan, walk_seed=None):
     kwargs = {"faults": plan, "survivable": True, "heap_bytes": HEAP}
-    if engine_name == "cooperative":
-        walk = seed if walk_seed is None else walk_seed
-        job = Job(num_pes, scheduler=Scheduler(RandomWalk(walk)), **kwargs)
-    else:
-        job = Job(num_pes, engine=engine_name, **kwargs)
+    walk = seed if walk_seed is None else walk_seed
+    engine = (Scheduler(RandomWalk(walk)) if engine_name == "cooperative"
+              else engine_name)
+    job = Job(num_pes, engine=engine, **kwargs)
     layer = shmem_attach(job)
     tracer = trace_attach(job)
     results = job.run(_make_body(layer, _make_script(seed, num_pes, phases)))

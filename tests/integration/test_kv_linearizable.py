@@ -136,8 +136,8 @@ CORPUS_SPEC = WorkloadSpec(
 )
 
 
-def _corpus_report(scheduler, spec=CORPUS_SPEC, **kw) -> LinReport:
-    results = run_cell(spec, images=3, record=True, scheduler=scheduler, **kw)
+def _corpus_report(engine, spec=CORPUS_SPEC, **kw) -> LinReport:
+    results = run_cell(spec, images=3, record=True, engine=engine, **kw)
     history = merge(r["records"] for r in results if r is not None)
     assert history, "service run produced an empty history"
     return check_linearizable(history)
@@ -172,7 +172,7 @@ def test_crash_injected_histories_linearizable(schedule):
         scan_frac=0.0, mean_interarrival_us=2.0, seed=79, disjoint=True,
     )
     plan = FaultPlan(seed=11, crash_at={2: 25})
-    results = run_cell(spec, images=3, record=True, scheduler=schedule(),
+    results = run_cell(spec, images=3, record=True, engine=schedule(),
                        survivable=True, faults=plan, watchdog_s=60.0)
     survivors = [r for r in results if r is not None]
     assert len(survivors) == 2, "crash did not fire"
@@ -191,7 +191,7 @@ def test_reshard_histories_linearizable(schedule):
         ops=16, keyspace=6, zipf_s=1.0, read_frac=0.6, write_frac=0.4,
         scan_frac=0.0, mean_interarrival_us=2.0, seed=80,
     )
-    results = run_cell(spec, images=4, record=True, scheduler=schedule(),
+    results = run_cell(spec, images=4, record=True, engine=schedule(),
                        ring_images=2, grow_to=4, grow_at=5)
     epochs = [r["epoch"] for r in results]
     assert max(epochs) == 1, f"ring never grew: {epochs}"

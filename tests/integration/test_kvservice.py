@@ -31,7 +31,6 @@ from repro.bench.dht import DataLossError, ReplicatedHashTable
 from repro.bench.kvservice import (
     WorkloadSpec,
     aggregate,
-    engine_gate,
     generate_stream,
     kind_counts,
     percentiles,
@@ -175,13 +174,6 @@ def test_percentiles_nearest_rank():
     assert percentiles([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
-def test_engine_gate_smoke():
-    spec = WorkloadSpec(ops=20, keyspace=10, zipf_s=1.0, read_frac=0.7,
-                        write_frac=0.2, scan_frac=0.1, seed=12)
-    rec = engine_gate(spec, num_pes=4)
-    assert rec["identical"] and len(rec["digest"]) == 16
-
-
 # ---------------------------------------------------------------------------
 # Reshard crash sweep (mirrors the PR-9 DHT sweep)
 # ---------------------------------------------------------------------------
@@ -194,12 +186,10 @@ SWEEP_SPEC = WorkloadSpec(
 
 def _reshard_crash_run(at: int, engine: str):
     plan = FaultPlan(seed=9, crash_at={2: at})
-    kw = {}
-    if engine == "cooperative":
-        kw["scheduler"] = Scheduler(RandomWalk(plan.seed))
+    how = Scheduler(RandomWalk(plan.seed)) if engine == "cooperative" else engine
     results = run_cell(
         SWEEP_SPEC, images=4, ring_images=2, grow_to=4, grow_at=3,
-        engine=engine, survivable=True, faults=plan, watchdog_s=60.0, **kw,
+        engine=how, survivable=True, faults=plan, watchdog_s=60.0,
     )
     survivors = [r for r in results if r is not None]
     lost = [m for r in survivors for m in r["lost"]]

@@ -133,15 +133,15 @@ def test_run_spmd_forwards_scheduler():
     sched = Scheduler(RandomWalk(0))
 
     def kernel():
-        return current().job.scheduler is sched
+        return current().job.engine is sched
 
     assert run_spmd(kernel, num_pes=2) == [False, False]
     sched2 = Scheduler(RandomWalk(0))
 
     def kernel2():
-        return current().job.scheduler is sched2
+        return current().job.engine is sched2
 
-    assert run_spmd(kernel2, num_pes=2, scheduler=sched2) == [True, True]
+    assert run_spmd(kernel2, num_pes=2, engine=sched2) == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +158,12 @@ def test_single_pe_job_runs():
 
 
 def test_max_pes_boundary():
-    from repro.runtime.launcher import MAX_PES
+    from repro.engine import Engine
 
-    job = Job(MAX_PES, heap_bytes=4096)
-    assert job.num_pes == MAX_PES
+    job = Job(Engine.max_pes, heap_bytes=4096)
+    assert job.num_pes == Engine.max_pes
     with pytest.raises(ValueError, match=r"num_pes must be in"):
-        Job(MAX_PES + 1, heap_bytes=4096)
+        Job(Engine.max_pes + 1, heap_bytes=4096)
     with pytest.raises(ValueError, match=r"num_pes must be in"):
         Job(0)
 

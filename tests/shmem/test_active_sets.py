@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro import shmem
+from repro.runtime.context import current
 from repro.runtime.groups import active_set_pes
+from repro.runtime.launcher import Job
+from repro.sim.faults import FaultPlan
+from repro.trace.events import attach as trace_attach
 
 
 def test_active_set_expansion():
@@ -36,6 +40,29 @@ def test_subset_barrier_only_synchronizes_members():
     assert len({round(t, 6) for t in members}) == 1
     assert members[0] >= 500.0
     assert out[1] < 1.0 and out[3] < 1.0
+
+
+def test_subset_barrier_is_the_one_barrier_body():
+    """An active-set barrier is ``team_barrier``: a fault plan's barrier
+    latency fires in it, and a profile-mode tracer (no sync capture)
+    records it like every other barrier."""
+
+    def kernel():
+        if shmem.my_pe() < 2:
+            shmem.barrier(0, 0, 2)
+        return current().clock.now
+
+    def run(faults):
+        job = Job(3, heap_bytes=1 << 15, faults=faults)
+        shmem.attach(job)
+        tracer = trace_attach(job)
+        return job.run(kernel), tracer.count("barrier")
+
+    clean, traced = run(None)
+    slow, traced_slow = run(FaultPlan(seed=4, latency_rate=1.0, latency_us=40.0))
+    assert traced == traced_slow == 2  # one record per member
+    assert slow[0] > clean[0] and slow[1] > clean[1]
+    assert slow[2] == clean[2]  # the non-member drew nothing
 
 
 def test_subset_reduction():
