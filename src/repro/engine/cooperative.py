@@ -26,13 +26,17 @@ Choice tokens
 ``p<i>``  — run PE *i* until its next decision point.
 ``n<i>``  — deliver the oldest pending put of initiator PE *i*.
 
+Tokens are built once per PE at bind; the choice list is the runnable
+``p`` tokens, then the pending ``n`` tokens, each in ascending PE order.
+
 Blocking primitives (barrier waits, ``wait_until``) go through
-:meth:`CooperativeEngine.block_until`; a blocked task is simply not
-offered as a choice until its predicate holds.  If no task is runnable
-and no delivery is pending, the run has genuinely deadlocked and the
-engine raises :class:`DeadlockError` with a report naming every blocked
-task — instantly, where the threaded engine would idle until the
-watchdog.
+:meth:`CooperativeEngine.block_until`; a blocked task is not offered as
+a choice until its predicate holds, re-evaluated only when the task's
+*wake source* changes, so a hand-off costs the same however many tasks
+are parked.  If no task is runnable and no delivery is pending, the run
+has genuinely deadlocked and the engine raises :class:`DeadlockError`
+with a report naming every blocked task — instantly, where the threaded
+engine would idle until the watchdog.
 
 :mod:`repro.explore` re-exports the class as ``Scheduler`` next to the
 strategies; this module must not import that package (its ``__init__``
@@ -43,11 +47,14 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import compress
 from typing import Callable
 
 from repro.engine.base import Engine
 from repro.engine.threaded import ThreadRunMixin
+from repro.runtime.failures import raise_image_failed
 from repro.runtime.launcher import JobAborted
+from repro.runtime.memory import PEMemory
 
 #: Step ceiling per schedule: far above any explore program, low enough
 #: that a livelocked schedule fails fast instead of spinning forever.
@@ -62,12 +69,40 @@ class ScheduleLimitError(RuntimeError):
     """The schedule exceeded ``max_steps`` decision points (livelock guard)."""
 
 
+class _WakeCondition(threading.Condition):
+    """A PE memory's condition variable whose ``notify_all()`` also
+    lists the owning PE as dirty when it is parked on a value (the
+    event engine's notify sink, but a real lock: PE threads unwind
+    concurrently after an abort)."""
+
+    def __init__(self, pe: int, on_memory: list, dirty: set, counts: dict) -> None:
+        super().__init__()
+        self._pe, self._on_memory, self._dirty, self._counts = pe, on_memory, dirty, counts
+
+    def notify_all(self) -> None:
+        super().notify_all()
+        if self._on_memory[self._pe]:
+            self._dirty.add(self._pe)
+            self._counts["dirty"] += 1
+
+
+class _WakeMemory(PEMemory):
+    """A :class:`PEMemory` whose condition variable is a :class:`_WakeCondition`."""
+
+    def __init__(self, nbytes: int, cond: _WakeCondition) -> None:
+        self._wake_cond = cond  # read by the _make_cond hook in the base __init__
+        super().__init__(nbytes)
+
+    def _make_cond(self):
+        return self._wake_cond
+
+
 class CooperativeEngine(ThreadRunMixin, Engine):
     """Serializes a job's PE threads under a strategy.
 
     One-shot, like every engine: pass it as ``Job(..., engine=...)``
     and run that job once.  The executed choice sequence is left in
-    :attr:`trace` for replay.
+    :attr:`trace` for replay, its counters in :attr:`stats`.
     """
 
     name = "cooperative"
@@ -90,13 +125,31 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         self._registered: set[int] = set()
         self._finished: set[int] = set()
         self._blocked: dict[int, tuple[Callable[[], bool], str]] = {}
+        self._on_memory: list[bool] = []  # per PE: parked on its own memory
+        self._dirty: set[int] = set()  # parked PEs to re-poll
+        self._episodes: dict[tuple, list[int]] = {}  # (barrier, gen) -> PEs
+        self._polled: dict[int, Callable[[], bool]] = {}  # no wake source
+        self._counts = dict.fromkeys(("switches", "deliveries", "parks", "polls", "wakes", "dirty"), 0)
+
+    def make_memories(self, num_pes: int, heap_bytes: int) -> list:
+        self._on_memory = [False] * num_pes
+        sink = (self._on_memory, self._dirty, self._counts)
+        return [_WakeMemory(heap_bytes, _WakeCondition(pe, *sink)) for pe in range(num_pes)]
 
     def bind(self, job) -> None:
         super().bind(job)
         self.strategy.bind_job(job)  # clock-aware strategies read PE clocks
-        self.num_pes = job.num_pes
-        self._events = [threading.Event() for _ in range(job.num_pes)]
-        self._queues = [deque() for _ in range(job.num_pes)]
+        n = self.num_pes = job.num_pes
+        self._events = [threading.Event() for _ in range(n)]
+        self._queues = [deque() for _ in range(n)]
+        self._ptok = [f"p{t}" for t in range(n)]
+        self._ntok = [f"n{t}" for t in range(n)]
+        self._runnable = [True] * n  # neither finished nor parked
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Exact counters of the run (see docs/API.md)."""
+        return {"steps": self.steps, **self._counts}
 
     # -- decision points ------------------------------------------------
     def decision(self, ctx, op: str, target: int) -> None:
@@ -123,27 +176,28 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         """``quiet``: deliver every pending put of ``ctx.pe``, in order."""
         with self._lock:
             q = self._queues[ctx.pe]
+            self._counts["deliveries"] += len(q)
             while q:
                 q.popleft()()
 
     # -- blocking -------------------------------------------------------
-    def block_until(self, pe: int, predicate: Callable[[], bool], reason: str = "") -> None:
+    def block_until(self, pe: int, predicate: Callable[[], bool], reason: str = "", *, wake=None) -> None:
         """Park the running PE until ``predicate()`` holds.
 
-        The predicate is re-evaluated after every step (other tasks'
-        progress or message deliveries may satisfy it); the PE is only
-        offered as a choice again once it does.
+        The PE is offered as a choice again once it does.  ``wake`` is
+        what can make it hold, and the predicate is re-evaluated only
+        when that changes: ``pe``'s own memory (after a write to it), a
+        ``(barrier, generation)`` episode (once the generation moves),
+        or ``None`` (after every step).  A PE failure re-polls every
+        parked PE whatever its wake source.
         """
         if self.job.aborted():
             raise JobAborted(f"job aborted entering {reason or 'block'}")
-        self._hand_off(pe, False, (predicate, reason))
+        self._hand_off(pe, False, (predicate, reason, wake))
 
     def barrier_wait(self, ctx, barrier, gen: int) -> None:
-        self.block_until(
-            ctx.pe,
-            lambda: barrier._generation != gen,
-            f"barrier(sync_id={barrier.sync_id}, gen={gen})",
-        )
+        self.block_until(ctx.pe, lambda: barrier._generation != gen,
+                         f"barrier(sync_id={barrier.sync_id}, gen={gen})", wake=(barrier, gen))
 
     def wait_value(self, ctx, mem, predicate, what: str,
                    target: int = -1) -> float:
@@ -157,14 +211,19 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             def value_or_failed() -> bool:
                 return predicate() or registry.is_failed(target)
 
-            self.block_until(ctx.pe, value_or_failed, what)
+            self.block_until(ctx.pe, value_or_failed, what, wake=mem)
             if not predicate() and registry.is_failed(target):
-                from repro.runtime.failures import raise_image_failed
-
                 raise_image_failed(ctx, "wait", target, registry, job.tracer)
             return mem.last_write_time
-        self.block_until(ctx.pe, predicate, what)
+        self.block_until(ctx.pe, predicate, what, wake=mem)
         return mem.last_write_time
+
+    def on_pe_failed(self, ctx, exc) -> list:
+        released = super().on_pe_failed(ctx, exc)
+        # The registry mark may satisfy any survivable wait.
+        self._dirty.update(self._blocked)
+        self._counts["dirty"] += len(self._blocked)
+        return released
 
     # -- run (ThreadRunMixin hooks) -------------------------------------
     def _task_start(self, pe: int) -> None:
@@ -177,6 +236,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 nxt = self._pick()
                 if nxt == pe:
                     return
+                self._counts["switches"] += 1
                 self._events[nxt].set()
         self._await_turn(pe)
 
@@ -191,11 +251,15 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             if pe in self._finished:
                 return
             self._finished.add(pe)
-            self._blocked.pop(pe, None)
+            self._runnable[pe] = False
+            if self._blocked.pop(pe, None) is not None:
+                self._on_memory[pe] = False
+                self._polled.pop(pe, None)
             if len(self._finished) == self.num_pes:
                 # End of job completes all outstanding puts (finalize
                 # semantics), deterministically in PE order.
                 for q in self._queues:
+                    self._counts["deliveries"] += len(q)
                     while q:
                         q.popleft()()
                 self.done = True
@@ -211,6 +275,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 self._wake_all()
                 return
             if nxt is not None:
+                self._counts["switches"] += 1
                 self._events[nxt].set()
 
     def _collect_failures(self, failures: list) -> None:
@@ -224,34 +289,69 @@ class CooperativeEngine(ThreadRunMixin, Engine):
     # -- internals ------------------------------------------------------
     def _hand_off(self, pe: int, spin: bool, wait: tuple | None = None) -> None:
         """Let the strategy pick who runs next; returns once it is
-        ``pe`` again.  ``wait`` is a ``(predicate, reason)`` that keeps
-        ``pe`` out of the choices until the predicate holds."""
+        ``pe`` again.  ``wait`` is a ``(predicate, reason, wake)`` that
+        keeps ``pe`` out of the choices until the predicate holds."""
         with self._lock:
-            self.strategy.note_yield(f"p{pe}", spin)
+            self.strategy.note_yield(self._ptok[pe], spin)
             if wait is not None and not wait[0]():
-                self._blocked[pe] = wait
+                self._park(pe, *wait)
             nxt = self._pick()
             if nxt == pe:
                 return
             if nxt is not None:
+                self._counts["switches"] += 1
                 self._events[nxt].set()
         self._await_turn(pe)
+
+    def _park(self, pe: int, predicate, reason: str, wake) -> None:
+        self._blocked[pe] = (predicate, reason)
+        self._runnable[pe] = False
+        self._counts["parks"] += 1
+        self._counts["polls"] += 1  # the probe that parked it
+        if isinstance(wake, tuple):
+            self._episodes.setdefault(wake, []).append(pe)
+        elif wake is not None and wake is self.job.memories[pe]:
+            self._on_memory[pe] = True
+        else:
+            self._polled[pe] = predicate
+
+    def _unpark(self, pe: int) -> None:
+        del self._blocked[pe]
+        self._on_memory[pe] = False
+        self._polled.pop(pe, None)
+        self._runnable[pe] = True
+        self._counts["wakes"] += 1
+
+    def _wake_ready(self) -> None:
+        """Unpark every parked PE whose wake source fired and whose
+        predicate now holds (lock held)."""
+        blocked = self._blocked
+        if self._dirty:  # list(): atomic copy, threads unwinding an abort may write
+            dirty = [t for t in list(self._dirty) if t in blocked]
+            self._dirty.clear()
+            self._counts["polls"] += len(dirty)
+            for t in dirty:
+                if blocked[t][0]():
+                    self._unpark(t)
+        if self._episodes:
+            for key in [k for k in self._episodes if k[0]._generation != k[1]]:
+                for t in self._episodes.pop(key):
+                    if t in blocked:  # not woken via _dirty, not exited
+                        self._unpark(t)
+        if self._polled:
+            self._counts["polls"] += len(self._polled)
+            for t in [t for t, pred in self._polled.items() if pred()]:
+                self._unpark(t)
 
     def _pick(self) -> int | None:
         """Pick the next PE to run (lock held).  Deliveries chosen by
         the strategy are executed inline; returns None when every task
         has finished."""
         while True:
-            for t in sorted(self._blocked):
-                predicate, _ = self._blocked[t]
-                if predicate():
-                    del self._blocked[t]
-            choices = [
-                f"p{t}"
-                for t in range(self.num_pes)
-                if t not in self._finished and t not in self._blocked
-            ]
-            choices += [f"n{t}" for t in range(self.num_pes) if self._queues[t]]
+            if self._blocked:
+                self._wake_ready()
+            choices = [*compress(self._ptok, self._runnable),
+                       *compress(self._ntok, self._queues)]
             if not choices:
                 if len(self._finished) == self.num_pes:
                     return None
@@ -269,6 +369,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             self.steps += 1
             self.trace.append(token)
             if token[0] == "n":
+                self._counts["deliveries"] += 1
                 self._queues[int(token[1:])].popleft()()
                 continue
             return int(token[1:])

@@ -3,7 +3,7 @@
 The deterministic scheduler itself is the cooperative engine
 (:class:`repro.engine.cooperative.CooperativeEngine`, re-exported here
 under its exploration name :class:`Scheduler`): it serializes a job's
-PE threads and, at every decision point, offers a sorted list of
+PE threads and, at every decision point, offers an ordered list of
 *choice tokens* — ``p<i>`` (run PE *i* until its next decision point)
 and ``n<i>`` (deliver the oldest pending put of initiator PE *i*) — to
 a :class:`Strategy`.  This module holds the strategies: seeded random
@@ -33,12 +33,13 @@ from repro.engine.cooperative import (  # noqa: F401 - re-exported
 class Strategy:
     """Picks the next choice token at every decision point.
 
-    ``choose`` receives the step index and the deterministic, sorted
-    choice list; it must return one of its elements.  ``note_yield`` is
-    a hint: the named task just yielded from a spin loop (a failed lock
-    attempt), so priority-based strategies should demote it — the
-    Coyote treatment of ``Task.Yield`` — or the spinner livelocks the
-    schedule.
+    ``choose`` receives the step index and the choice list — runnable
+    ``p<i>`` tokens, then pending ``n<i>`` tokens, each in ascending PE
+    order (guaranteed) — and must return one of its elements.
+    ``note_yield`` is a hint: the named task just yielded from a spin
+    loop (a failed lock attempt), so priority-based strategies should
+    demote it — the Coyote treatment of ``Task.Yield`` — or the spinner
+    livelocks the schedule.
     """
 
     name = "strategy"
@@ -98,21 +99,19 @@ class VirtualTimeOrder(Strategy):
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)  # accepted for make_strategy symmetry
         self._job: Any = None
+        self._clocks: dict[str, Any] = {}  # p token -> that PE's VirtualClock
 
     def bind_job(self, job: Any) -> None:
-        self._job = job
-
-    def _clock(self, token: str) -> float:
-        if self._job is None:
-            return 0.0
-        ctx = self._job.pe_contexts.get(int(token[1:]))
-        return ctx.clock.now if ctx is not None else 0.0
+        self._job, self._clocks = job, {}
 
     def choose(self, step: int, choices: list[str]) -> str:
-        nets = [t for t in choices if t[0] == "n"]
-        if nets:
-            return min(nets, key=lambda t: int(t[1:]))
-        return min(choices, key=lambda t: (self._clock(t), int(t[1:])))
+        if choices[-1][0] == "n":  # n tokens come last, lowest PE first
+            return next(t for t in choices if t[0] == "n")
+        clocks = self._clocks
+        if not clocks:  # first decision: every PE's context exists by now
+            clocks.update((f"p{pe}", ctx.clock) for pe, ctx in self._job.pe_contexts.items())
+        # min() keeps the first of equal clocks: p tokens ascend by PE.
+        return min(choices, key=lambda t: clocks[t].now)
 
     def describe(self) -> dict:
         return {"strategy": self.name}

@@ -200,6 +200,48 @@ def test_reshard_histories_linearizable(schedule):
 
 
 # ---------------------------------------------------------------------------
+# ROADMAP P1: a lost acked write across ring grow + crash, replayable
+# ---------------------------------------------------------------------------
+
+
+def _p1_cell(pct_seed: int):
+    """The chaos survivable kvservice cell (seed 2015: PE 1 crashes
+    mid-stream while the bucket ring grows from 2 to 4 images) under
+    one PCT schedule; returns ``(steps, lost acked writes, dead PEs)``."""
+    from repro import chaos
+    from repro.explore import PCTStrategy, Scheduler
+    from repro.sim.faults import FaultInjector
+
+    sched = Scheduler(PCTStrategy(pct_seed))
+    results = chaos._run_kvservice(
+        4, "stampede", FaultInjector(chaos.survivable_crash_plan(2015), 4),
+        30.0, True, sched, 2015,
+    )
+    lost = [m for r in results if r is not None for m in r["lost"]]
+    dead = [pe for pe, r in enumerate(results) if r is None]
+    return sched.steps, lost, dead
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP G-i: lost acked write across ring grow + crash")
+def test_p1_witness_loses_no_acked_write():
+    # Today PCT seed 24 loses the acked write (64, 67108872, 0).
+    _, lost, _ = _p1_cell(24)
+    assert lost == []
+
+
+def test_p1_witness_schedules_are_pinned():
+    # PCT 24 and 33 lose the write, PCT 5 does not; the step counts pin
+    # the schedules so the witness stays the same interleaving.
+    cells = {seed: _p1_cell(seed) for seed in (24, 33, 5)}
+    assert {seed: steps for seed, (steps, _, _) in cells.items()} == {
+        24: 901, 33: 867, 5: 780,
+    }
+    assert all(dead == [1] for _, _, dead in cells.values())
+    assert cells[5][1] == []
+
+
+# ---------------------------------------------------------------------------
 # The seeded stale-cache negative
 # ---------------------------------------------------------------------------
 
