@@ -31,8 +31,9 @@ This module builds that service on :class:`ReplicatedHashTable`:
 
 ``python -m repro.bench.kvservice`` runs the percentile grid (two Zipf
 skews × two mixes), the cache-on/off p99 comparison and the
-reshard-under-load gate, then merges a ``kvservice`` section into
-``BENCH_wallclock.json``.
+reshard-under-load gate; ``--out FILE`` merges a ``kvservice`` section
+into that wallclock JSON (``BENCH_wallclock.json`` holds the committed
+one).
 """
 
 from __future__ import annotations
@@ -456,13 +457,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument("--images", type=int, default=4)
     parser.add_argument("--machine", default="stampede")
-    parser.add_argument("--out", default="BENCH_wallclock.json",
+    parser.add_argument("--out", default=None, metavar="JSON",
                         help="wallclock JSON to merge the kvservice "
-                             "section into")
+                             "section into (not written without it)")
     args = parser.parse_args(argv)
     section = run_suite(quick=args.quick, seed=args.seed, images=args.images,
                         machine=args.machine)
-    out = update_bench_json(args.out, "kvservice", section)
     for cell in section["cells"]:
         lat = cell["latency_us"]
         print(f"zipf={cell['zipf_s']:<4} mix={cell['mix']:<11} "
@@ -476,7 +476,8 @@ def main(argv=None) -> int:
     rs = section["reshard"]
     print(f"reshard: moved={rs['moved']} epoch={rs['epoch']} "
           f"acked={rs['acked']} lost={len(rs['lost'])}")
-    print(f"wrote {out}")
+    if args.out:
+        print(f"wrote {update_bench_json(args.out, 'kvservice', section)}")
     return 0
 
 

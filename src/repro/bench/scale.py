@@ -3,7 +3,7 @@
 The thread-per-PE engine tops out around a few hundred PEs (OS thread
 stacks, context-switch storms); the discrete-event engine runs the same
 virtual-time model with one Python frame per runnable PE.  This module
-measures that: two communication workloads expressed as step programs
+measures that: two communication workloads written as generator bodies
 (:mod:`repro.engine.steps`), swept over 64/256/1024/4096 PEs on the
 event engine, with host wall-clock *per PE step* as the figure of merit.
 
@@ -27,10 +27,10 @@ Workloads
 Equivalence gate
 ----------------
 
-``--gate`` (default on) runs both workloads at 64 PEs on the threaded
-and event engines and requires identical per-PE results (including each
-PE's final virtual clock) and identical trace digests — the engines
-must agree bit-for-bit wherever both can run.
+Unless ``--no-gate`` is given, both workloads run at 64 PEs on the
+threaded and event engines, which must give identical per-PE results
+(including each PE's final virtual clock) and identical trace digests —
+the engines must agree bit-for-bit wherever both can run.
 
 Output
 ------
@@ -54,7 +54,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bench.harness import host_info, update_bench_json
-from repro.engine.steps import BarrierStep, Done, alloc_array_step
+from repro.engine.steps import BarrierStep, alloc
 from repro.explore.harness import trace_digest
 from repro.runtime.context import current
 from repro.runtime.launcher import Job
@@ -87,7 +87,7 @@ def _mix64(x: int) -> int:
 
 
 def make_himeno_body(layer, iters: int, face_elems: int, slots: list) -> Callable:
-    """Ring halo exchange + gosa reduction as a step program.
+    """Ring halo exchange + gosa reduction as a generator body.
 
     ``slots`` is a job-shared list (one cell per PE) carrying the local
     gosa contributions between the deposit barrier and the index-order
@@ -111,36 +111,25 @@ def make_himeno_body(layer, iters: int, face_elems: int, slots: list) -> Callabl
         left = (pe - 1) % n
         face_r = np.full(face_elems, pe + 0.25, dtype=np.float64)
         face_l = np.full(face_elems, pe + 0.75, dtype=np.float64)
-
-        def iterate(ghosts, it: int, gosa: float):
-            if it == iters:
-                return Done((round(gosa, 9), ctx.clock.now))
+        ghosts = yield from alloc(layer, (2 * face_elems,), np.float64)
+        gosa = 0.0
+        for it in range(iters):
             # Phase 1 (half-duplex): everyone sends its right face into
             # the right neighbour's low ghost region.  Only the last PE
             # of each node crosses nodes — one writer per tx/rx timeline.
             layer.put(ghosts, face_r, right, offset=0)
-            return BarrierStep(layer, lambda: phase2(ghosts, it, gosa))
-
-        def phase2(ghosts, it: int, gosa: float):
+            yield BarrierStep(layer)
             # Phase 2: everyone sends its left face the other way.
             layer.put(ghosts, face_l, left, offset=face_elems)
-            return BarrierStep(layer, lambda: local_residual(ghosts, it))
-
-        def local_residual(ghosts, it: int):
+            yield BarrierStep(layer)
             # Jacobi-ish residual over the received ghosts.
-            g = ghosts.local
-            slots[pe] = float(g.sum()) / face_elems
-            return BarrierStep(layer, lambda: combine(ghosts, it))
-
-        def combine(ghosts, it: int):
+            slots[pe] = float(ghosts.local.sum()) / face_elems
+            yield BarrierStep(layer)
             # One PE per iteration computes the sum, the rest adopt it.
             gosa = job.collectives.agree(ctx, f"gosa:{it}", index_order_sum)
             ctx.clock.advance(red_cost)
-            return BarrierStep(layer, lambda: iterate(ghosts, it + 1, gosa))
-
-        return alloc_array_step(
-            layer, (2 * face_elems,), np.float64, lambda g: iterate(g, 0, 0.0)
-        )
+            yield BarrierStep(layer)
+        return round(gosa, 9), ctx.clock.now
 
     return body
 
@@ -152,7 +141,7 @@ def himeno_steps_per_pe(iters: int) -> int:
 
 
 def make_dht_body(layer, rounds: int, single_writer: bool) -> Callable:
-    """Fig-9 DHT update loop (fetch-add + put) as a step program.
+    """Fig-9 DHT update loop (fetch-add + put) as a generator body.
 
     ``single_writer=True`` is the equivalence-gate variant: sub-phases
     rotate through ``cores_per_node`` residues so at most one PE per
@@ -169,38 +158,20 @@ def make_dht_body(layer, rounds: int, single_writer: bool) -> Callable:
     def body():
         ctx = current()
         pe = ctx.pe
-
-        def update(counts, table, rnd: int) -> None:
-            if single_writer:
-                owner = (pe + 1 + rnd) % n
-            else:
-                owner = _mix64(pe * 1000003 + rnd) % n
-            slot = (pe + rnd) % _DHT_SLOTS
-            layer.atomic(counts, owner, slot, "fadd", 1)
-            layer.put(table, val, owner, offset=slot)
-
-        def run_phase(counts, table, rnd: int, sub: int):
-            if rnd == rounds:
-                total = int(counts.local.sum())
-                return Done((total, ctx.clock.now))
-            if pe % width == sub:
-                update(counts, table, rnd)
-            nxt_sub = sub + 1
-            if nxt_sub == width:
-                return BarrierStep(
-                    layer, lambda: run_phase(counts, table, rnd + 1, 0)
-                )
-            return BarrierStep(
-                layer, lambda: run_phase(counts, table, rnd, nxt_sub)
-            )
-
-        return alloc_array_step(
-            layer, (_DHT_SLOTS,), np.int64,
-            lambda counts: alloc_array_step(
-                layer, (_DHT_SLOTS,), np.int64,
-                lambda table: run_phase(counts, table, 0, 0),
-            ),
-        )
+        counts = yield from alloc(layer, (_DHT_SLOTS,), np.int64)
+        table = yield from alloc(layer, (_DHT_SLOTS,), np.int64)
+        for rnd in range(rounds):
+            for sub in range(width):
+                if pe % width == sub:
+                    if single_writer:
+                        owner = (pe + 1 + rnd) % n
+                    else:
+                        owner = _mix64(pe * 1000003 + rnd) % n
+                    slot = (pe + rnd) % _DHT_SLOTS
+                    layer.atomic(counts, owner, slot, "fadd", 1)
+                    layer.put(table, val, owner, offset=slot)
+                yield BarrierStep(layer)
+        return int(counts.local.sum()), ctx.clock.now
 
     return body
 

@@ -19,10 +19,15 @@ per-call ``algorithm=`` parameter forces a fixed algorithm as an oracle.
 Public API
 ----------
 
-* step forms (event engine / CPS): :func:`team_reduce_step`,
-  :func:`team_broadcast_step`, :func:`team_allgather_step`
+* step forms (event engine; ``cont(result)`` continues the program):
+  :func:`team_reduce_step`, :func:`team_broadcast_step`,
+  :func:`team_allgather_step`
 * blocking forms (threaded/cooperative engines):
   :func:`team_reduce`, :func:`team_broadcast`, :func:`team_allgather`
+* :func:`team_comm` — a generator (``comm = yield from team_comm(layer,
+  members, need_bytes)``) that looks up and joins a team's
+  :class:`TeamComm`; the algorithms in
+  :mod:`repro.collectives.algorithms` are generators over it
 * :data:`ALGORITHMS`, :class:`AlgorithmSelector`, :data:`FORCE_ENV`
 """
 
@@ -34,7 +39,7 @@ from repro.collectives.api import (
     team_reduce,
     team_reduce_step,
 )
-from repro.collectives.comm import TeamComm, team_comm_step
+from repro.collectives.comm import TeamComm, team_comm
 from repro.collectives.select import (
     ALGORITHMS,
     ALLGATHER_ALGORITHMS,
@@ -60,7 +65,7 @@ __all__ = [
     "team_allgather_step",
     "team_broadcast",
     "team_broadcast_step",
-    "team_comm_step",
+    "team_comm",
     "team_reduce",
     "team_reduce_step",
 ]

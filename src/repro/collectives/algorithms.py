@@ -1,6 +1,6 @@
 """The competing collective algorithms, as engine-agnostic step programs.
 
-Every algorithm is written in continuation-passing style over the
+Every algorithm is a generator (see :mod:`repro.engine.steps`) over the
 :class:`~repro.collectives.comm.TeamComm` primitives — traced 1-sided
 put/get for data, pairwise post/wait (atomic counter + per-word-timed
 wait) for synchronization — so one implementation runs unchanged on the
@@ -48,41 +48,41 @@ def rotated_order(m: int, root_rank: int) -> tuple[int, ...]:
     return tuple((root_rank + i) % m for i in range(m))
 
 
+def _push(comm: "TeamComm", acc, ranks) -> None:
+    """Put the accumulator into each of ``ranks`` and post its bank 1."""
+    for rank in ranks:
+        comm.put_acc(acc, rank)
+        comm.post(rank, 1)
+
+
+def _send_down(comm: "TeamComm", acc, order, v: int, level: int) -> None:
+    """Forward the result down the binomial tree over ``order``: to
+    position ``v + 2^j`` for every level ``j`` below ``level``, the
+    largest subtree first."""
+    n = len(order)
+    _push(comm, acc, [order[v + (1 << j)] for j in range(level - 1, -1, -1)
+                      if v + (1 << j) < n])
+
+
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
-def linear_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast, cont):
+def linear_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast):
     """Flat gather onto the root, combining in rank order; O(m) root
     critical path but minimal small-team overhead."""
-    m = len(order)
     if idx == 0:
-
-        def gather(i):
-            if i >= m:
-                return finish()
-            src = order[i]
-
-            def got():
-                comm.combine_from(acc, src, combine)
-                return gather(i + 1)
-
-            return comm.wait_step(src, 0, got)
-
-        def finish():
-            if broadcast:
-                for i in range(1, m):
-                    comm.put_acc(acc, order[i])
-                    comm.post(order[i], 1)
-            return cont()
-
-        return gather(1)
+        for src in order[1:]:
+            yield from comm.wait(src, 0)
+            comm.combine_from(acc, src, combine)
+        if broadcast:
+            _push(comm, acc, order[1:])
+        return
     comm.post(order[0], 0)
     if broadcast:
-        return comm.wait_step(order[0], 1, cont)
-    return cont()
+        yield from comm.wait(order[0], 1)
 
 
-def binomial_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast, cont):
+def binomial_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast):
     """Binomial reduction tree, ceil(log2 m) rounds; the paper's own
     CAF reduction shape (Section II footnote).  The tree runs over
     ``order`` (virtual rank = position): child ``v`` posts to
@@ -90,40 +90,24 @@ def binomial_reduce(comm: "TeamComm", acc, order, idx, combine, broadcast, cont)
     the result flows back down the same tree on bank 1."""
     n = len(order)
     v = idx
-
-    def down(level):
-        for j in range(level - 1, -1, -1):
-            cv = v + (1 << j)
-            if cv < n:
-                comm.put_acc(acc, order[cv])
-                comm.post(order[cv], 1)
-        return cont()
-
-    def up(k):
+    for k in range((n - 1).bit_length()):
         bit = 1 << k
-        if bit >= n:
-            # v == 0: the root now holds the full reduction.
-            return down(k) if broadcast else cont()
         if v & bit:
-            comm.post(order[v - bit], 0)
-            if not broadcast:
-                return cont()
-            parent = order[v & (v - 1)]
-            return comm.wait_step(parent, 1, lambda: down(k))
-        nxt = v + bit
-        if nxt < n:
-
-            def got():
-                comm.combine_from(acc, order[nxt], combine)
-                return up(k + 1)
-
-            return comm.wait_step(order[nxt], 0, got)
-        return up(k + 1)
-
-    return up(0)
+            parent = order[v - bit]
+            comm.post(parent, 0)
+            if broadcast:
+                yield from comm.wait(parent, 1)
+                _send_down(comm, acc, order, v, k)
+            return
+        if v + bit < n:
+            yield from comm.wait(order[v + bit], 0)
+            comm.combine_from(acc, order[v + bit], combine)
+    # v == 0: the root now holds the full reduction.
+    if broadcast:
+        _send_down(comm, acc, order, v, (n - 1).bit_length())
 
 
-def recdbl_reduce(comm: "TeamComm", acc, combine, cont):
+def recdbl_reduce(comm: "TeamComm", acc, combine):
     """Recursive-doubling all-reduce: ceil(log2 m) pairwise full-payload
     exchanges (plus a fold for non-power-of-two teams).  Commutative
     operators only — the pairwise exchange reorders operands."""
@@ -131,64 +115,37 @@ def recdbl_reduce(comm: "TeamComm", acc, combine, cont):
     r = comm.my_rank()
     p = 1 << (m.bit_length() - 1)  # largest power of two <= m
     rem = m - p
-
-    def rank_of(cv):
-        # Inverse of the fold: survivor cv is rank 2*cv (absorbed an
-        # odd partner) below the fold zone, rank cv + rem above it.
-        return 2 * cv if cv < rem else cv + rem
-
-    def fold_down():
-        if r < 2 * rem and r % 2 == 0:
-            comm.put_acc(acc, r + 1)
-            comm.post(r + 1, 1)
-        return cont()
-
-    def core(cv):
-        def round_(bit):
-            if bit >= p:
-                return fold_down()
-            pcv = cv ^ bit
-            pr = rank_of(pcv)
-            comm.post(pr, 0)  # my accumulator is readable
-
-            def ready():
-                data = comm.get_acc(acc, pr)
-                comm.post(pr, 1)  # done reading yours
-
-                def acked():
-                    # Partner acked: safe to overwrite my accumulator.
-                    # Canonical operand order (lower virtual rank left)
-                    # makes both partners compute the identical result.
-                    mine = np.asarray(acc.local)
-                    if cv < pcv:
-                        res = combine(mine, data)
-                    else:
-                        res = combine(data, mine)
-                    comm.put_local(acc, res)
-                    return round_(bit << 1)
-
-                return comm.wait_step(pr, 1, acked)
-
-            return comm.wait_step(pr, 0, ready)
-
-        return round_(1)
-
-    if r < 2 * rem:
-        if r % 2 == 1:
-            # Folded out: contribute to the even partner, then receive
-            # the finished result from it.
-            comm.post(r - 1, 0)
-            return comm.wait_step(r - 1, 1, cont)
-
-        def folded():
-            comm.combine_from(acc, r + 1, combine)
-            return core(r // 2)
-
-        return comm.wait_step(r + 1, 0, folded)
-    return core(r - rem)
+    folded = r < 2 * rem
+    if folded and r % 2 == 1:
+        # Folded out: contribute to the even partner, then receive the
+        # finished result from it.
+        comm.post(r - 1, 0)
+        yield from comm.wait(r - 1, 1)
+        return
+    if folded:
+        yield from comm.wait(r + 1, 0)
+        comm.combine_from(acc, r + 1, combine)
+    cv = r // 2 if folded else r - rem
+    for k in range(p.bit_length() - 1):
+        pcv = cv ^ (1 << k)
+        # Inverse of the fold: survivor pcv is rank 2*pcv (absorbed an
+        # odd partner) below the fold zone, rank pcv + rem above it.
+        pr = 2 * pcv if pcv < rem else pcv + rem
+        comm.post(pr, 0)  # my accumulator is readable
+        yield from comm.wait(pr, 0)
+        data = comm.get_acc(acc, pr)
+        comm.post(pr, 1)  # done reading yours
+        yield from comm.wait(pr, 1)
+        # Partner acked: safe to overwrite my accumulator.  Canonical
+        # operand order (lower virtual rank left) makes both partners
+        # compute the identical result.
+        mine = np.asarray(acc.local)
+        comm.put_local(acc, combine(mine, data) if cv < pcv else combine(data, mine))
+    if folded:
+        _push(comm, acc, [r + 1])
 
 
-def ring_reduce(comm: "TeamComm", acc, n, combine, cont):
+def ring_reduce(comm: "TeamComm", acc, n, combine):
     """Bandwidth-optimal ring all-reduce: reduce-scatter then allgather,
     2(m-1) rounds moving ~n/m elements each.  Commutative operators
     only.  Each round is a 6-step handshake — go-ahead to the left,
@@ -201,112 +158,74 @@ def ring_reduce(comm: "TeamComm", acc, n, combine, cont):
     left = (r - 1) % m
     right = (r + 1) % m
     bounds = [j * n // m for j in range(m + 1)]
-
-    def round_(t):
-        if t >= 2 * (m - 1):
-            return cont()
+    for t in range(2 * (m - 1)):
         comm.post(left, 1)
-
-        def go():
-            comm.post(right, 0)
-
-            def ready():
-                scatter = t < m - 1
-                c = (r - t - 1) % m if scatter else (r - (t - (m - 1))) % m
-                off = bounds[c]
-                cnt = bounds[c + 1] - off
-                if cnt:
-                    data = comm.get_acc(acc, left, offset=off, nelems=cnt)
-                    if scatter:
-                        mine = np.asarray(acc.local)[off:off + cnt]
-                        comm.put_local(acc, combine(data, mine), offset=off)
-                    else:
-                        comm.put_local(acc, data, offset=off)
-                return round_(t + 1)
-
-            return comm.wait_step(left, 0, ready)
-
-        return comm.wait_step(right, 1, go)
-
-    return round_(0)
+        yield from comm.wait(right, 1)
+        comm.post(right, 0)
+        yield from comm.wait(left, 0)
+        scatter = t < m - 1
+        c = (r - t - 1) % m if scatter else (r - (t - (m - 1))) % m
+        off = bounds[c]
+        cnt = bounds[c + 1] - off
+        if cnt:
+            data = comm.get_acc(acc, left, offset=off, nelems=cnt)
+            if scatter:
+                mine = np.asarray(acc.local)[off:off + cnt]
+                comm.put_local(acc, combine(data, mine), offset=off)
+            else:
+                comm.put_local(acc, data, offset=off)
 
 
-def hier_reduce(comm: "TeamComm", acc, combine, root_rank, cont):
+def hier_reduce(comm: "TeamComm", acc, combine, root_rank):
     """Two-level reduction: node leaders gather their node's members
     over intra-node links, a binomial tree runs over leaders (NIC
     links), then leaders scatter the result back to their node.  Always
     delivers to every member."""
     r = comm.my_rank()
-    ni = comm.node_index[r]
-    group = comm.node_ranks[ni]
+    group = comm.node_ranks[comm.node_index[r]]
     leader = group[0]
-    leaders = tuple(g[0] for g in comm.node_ranks)
-
     if r != leader:
         comm.post(leader, 0)
-        return comm.wait_step(leader, 1, cont)
-
-    def gather(i):
-        if i >= len(group):
-            # Root the inter-node tree at the root's node leader so the
-            # hot payload path ends where the caller asked.
-            root_leader = comm.node_ranks[comm.node_index[root_rank]][0]
-            order = tuple(sorted(leaders, key=lambda x: (x != root_leader,)))
-            idx = order.index(r)
-            return binomial_reduce(comm, acc, order, idx, combine, True, scatter)
-
-        def got():
-            comm.combine_from(acc, group[i], combine)
-            return gather(i + 1)
-
-        return comm.wait_step(group[i], 0, got)
-
-    def scatter():
-        for mr in group[1:]:
-            comm.put_acc(acc, mr)
-            comm.post(mr, 1)
-        return cont()
-
-    return gather(1)
+        yield from comm.wait(leader, 1)
+        return
+    for mr in group[1:]:
+        yield from comm.wait(mr, 0)
+        comm.combine_from(acc, mr, combine)
+    # Root the inter-node tree at the root's node leader so the hot
+    # payload path ends where the caller asked.
+    root_leader = comm.node_ranks[comm.node_index[root_rank]][0]
+    leaders = tuple(g[0] for g in comm.node_ranks)
+    order = tuple(sorted(leaders, key=lambda x: (x != root_leader,)))
+    yield from binomial_reduce(comm, acc, order, order.index(r), combine, True)
+    _push(comm, acc, group[1:])
 
 
 # ----------------------------------------------------------------------
 # Broadcasts
 # ----------------------------------------------------------------------
-def binomial_bcast(comm: "TeamComm", acc, order, idx, cont):
+def binomial_bcast(comm: "TeamComm", acc, order, idx):
     """Binomial broadcast tree over ``order`` (root = position 0),
     ceil(log2 m) rounds: each node forwards to ``v + 2^j`` for every
     level below the one it received at, halving the frontier each
     round."""
-    n = len(order)
     v = idx
-
-    def send(level):
-        for j in range(level - 1, -1, -1):
-            cv = v + (1 << j)
-            if cv < n:
-                comm.put_acc(acc, order[cv])
-                comm.post(order[cv], 1)
-        return cont()
-
     if v == 0:
-        return send((n - 1).bit_length())
-    level = (v & -v).bit_length() - 1
-    parent = order[v & (v - 1)]
-    return comm.wait_step(parent, 1, lambda: send(level))
+        level = (len(order) - 1).bit_length()
+    else:
+        level = (v & -v).bit_length() - 1
+        yield from comm.wait(order[v & (v - 1)], 1)
+    _send_down(comm, acc, order, v, level)
 
 
-def linear_bcast(comm: "TeamComm", acc, order, idx, cont):
+def linear_bcast(comm: "TeamComm", acc, order, idx):
     """Root pushes the payload to every member directly."""
     if idx == 0:
-        for i in range(1, len(order)):
-            comm.put_acc(acc, order[i])
-            comm.post(order[i], 1)
-        return cont()
-    return comm.wait_step(order[0], 1, cont)
+        _push(comm, acc, order[1:])
+    else:
+        yield from comm.wait(order[0], 1)
 
 
-def hier_bcast(comm: "TeamComm", acc, root_rank, cont):
+def hier_bcast(comm: "TeamComm", acc, root_rank):
     """Two-level broadcast: binomial over one effective leader per node
     (the root stands in for its own node's leader), then each leader
     pushes to its node over intra-node links."""
@@ -321,48 +240,30 @@ def hier_bcast(comm: "TeamComm", acc, root_rank, cont):
     leaders = tuple(eff_leader(ni) for ni in node_order)
     my_node = comm.node_index[r]
     my_leader = eff_leader(my_node)
-
-    def scatter():
-        for mr in comm.node_ranks[my_node]:
-            if mr != r:
-                comm.put_acc(acc, mr)
-                comm.post(mr, 1)
-        return cont()
-
-    if r == my_leader:
-        return binomial_bcast(comm, acc, leaders, leaders.index(r), scatter)
-    return comm.wait_step(my_leader, 1, cont)
+    if r != my_leader:
+        yield from comm.wait(my_leader, 1)
+        return
+    yield from binomial_bcast(comm, acc, leaders, leaders.index(r))
+    _push(comm, acc, [mr for mr in comm.node_ranks[my_node] if mr != r])
 
 
 # ----------------------------------------------------------------------
 # Allgather (fcollect)
 # ----------------------------------------------------------------------
-def linear_allgather(comm: "TeamComm", acc, n, cont):
+def linear_allgather(comm: "TeamComm", acc, n):
     """Every PE pulls every other PE's slice directly: one round of
     full fan-in, best for small teams or tiny payloads."""
-    m = comm.m
     r = comm.my_rank()
-    for s in range(m):
-        if s != r:
-            comm.post(s, 0)  # my slice is staged and readable
-
-    def fetch(s):
-        if s >= m:
-            return cont()
-        if s == r:
-            return fetch(s + 1)
-
-        def got():
-            data = comm.get_acc(acc, s, offset=s * n, nelems=n)
-            comm.put_local(acc, data, offset=s * n)
-            return fetch(s + 1)
-
-        return comm.wait_step(s, 0, got)
-
-    return fetch(0)
+    others = [s for s in range(comm.m) if s != r]
+    for s in others:
+        comm.post(s, 0)  # my slice is staged and readable
+    for s in others:
+        yield from comm.wait(s, 0)
+        data = comm.get_acc(acc, s, offset=s * n, nelems=n)
+        comm.put_local(acc, data, offset=s * n)
 
 
-def ring_allgather(comm: "TeamComm", acc, n, cont):
+def ring_allgather(comm: "TeamComm", acc, n):
     """Bandwidth-optimal ring: m-1 rounds, each pulling one slice from
     the left neighbor, with the same one-round-ahead throttle handshake
     as :func:`ring_reduce`."""
@@ -370,23 +271,11 @@ def ring_allgather(comm: "TeamComm", acc, n, cont):
     r = comm.my_rank()
     left = (r - 1) % m
     right = (r + 1) % m
-
-    def round_(t):
-        if t >= m - 1:
-            return cont()
+    for t in range(m - 1):
         comm.post(left, 1)
-
-        def go():
-            comm.post(right, 0)
-
-            def ready():
-                s = (r - 1 - t) % m
-                data = comm.get_acc(acc, left, offset=s * n, nelems=n)
-                comm.put_local(acc, data, offset=s * n)
-                return round_(t + 1)
-
-            return comm.wait_step(left, 0, ready)
-
-        return comm.wait_step(right, 1, go)
-
-    return round_(0)
+        yield from comm.wait(right, 1)
+        comm.post(right, 0)
+        yield from comm.wait(left, 0)
+        s = (r - 1 - t) % m
+        data = comm.get_acc(acc, left, offset=s * n, nelems=n)
+        comm.put_local(acc, data, offset=s * n)

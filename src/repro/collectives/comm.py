@@ -158,62 +158,53 @@ class TeamComm:
             ctx, fingerprint, compute, seq=g.next_seq(ctx.pe)
         )
 
-    def barrier_step(self, cont) -> BarrierStep:
-        """A team barrier as a step (job barrier for the full team,
-        group barrier for subsets)."""
+    def barrier(self):
+        """A team barrier (job barrier for the full team, group barrier
+        for subsets)."""
         if self.full_team:
-            return BarrierStep(self.layer, cont)
-        return BarrierStep(
-            self.layer, cont, barrier=self.group.barrier, npes=self.m
-        )
+            yield BarrierStep(self.layer)
+        else:
+            yield BarrierStep(self.layer, barrier=self.group.barrier, npes=self.m)
 
     # -- join / grow ----------------------------------------------------
     def _fingerprint(self) -> str:
         return f"collcomm:{self.members[0]}+{self.m}"
 
-    def join_step(self, need_bytes: int, cont):
+    def join(self, need_bytes: int):
         """Ensure the calling PE has joined this comm and scratch holds
-        at least ``need_bytes``; then ``cont()``.  Collective on first
-        join and on growth (all members call with equal ``need_bytes``)."""
+        at least ``need_bytes``.  Collective on first join and on growth
+        (all members call with equal ``need_bytes``)."""
         ctx = current()
-        pe = ctx.pe
-        if self._pe_epoch[pe] < 0:
-            return self._first_join_step(ctx, need_bytes, cont)
-        return self._grow(ctx, need_bytes, cont)
+        if self._pe_epoch[ctx.pe] < 0:
+            layer = self.layer
+            job = layer.job
+            cap = max(int(need_bytes), MIN_SCRATCH_BYTES)
+            layer.engine.alloc_check(ctx)
 
-    def _first_join_step(self, ctx, need_bytes: int, cont):
-        layer = self.layer
-        job = layer.job
-        cap = max(int(need_bytes), MIN_SCRATCH_BYTES)
-        layer.engine.alloc_check(ctx)
+            def build():
+                alloc = job.symmetric_allocator
+                comm_id = next(_ids)
+                flags_off = alloc.malloc(2 * self.m * 8)
+                scratch_off = alloc.malloc(cap)
+                return (comm_id, flags_off, scratch_off, cap)
 
-        def build():
-            alloc = job.symmetric_allocator
-            comm_id = next(_ids)
-            flags_off = alloc.malloc(2 * self.m * 8)
-            scratch_off = alloc.malloc(cap)
-            return (comm_id, flags_off, scratch_off, cap)
-
-        comm_id, flags_off, scratch_off, agreed_cap = self._agree(
-            ctx, f"{self._fingerprint()}:join:{cap}", build
-        )
-        with self._lock:
-            if self.comm_id is None:
-                self.comm_id = comm_id
-                self.flags = SymmetricArray(
-                    layer, flags_off, (2 * self.m,), np.dtype(np.int64)
-                )
-                self._epochs.append((scratch_off, agreed_cap))
-
-        def joined():
+            comm_id, flags_off, scratch_off, agreed_cap = self._agree(
+                ctx, f"{self._fingerprint()}:join:{cap}", build
+            )
+            with self._lock:
+                if self.comm_id is None:
+                    self.comm_id = comm_id
+                    self.flags = SymmetricArray(
+                        layer, flags_off, (2 * self.m,), np.dtype(np.int64)
+                    )
+                    self._epochs.append((scratch_off, agreed_cap))
+            # Allocation synchronizes: no member may post to another's
+            # flags before that member has agreed on the offsets.
+            yield from self.barrier()
             self._pe_epoch[ctx.pe] = 0
-            return self._grow(ctx, need_bytes, cont)
+        self._grow(ctx, need_bytes)
 
-        # Allocation synchronizes: no member may post to another's flags
-        # before that member has agreed on the offsets.
-        return self.barrier_step(joined)
-
-    def _grow(self, ctx, need_bytes: int, cont):
+    def _grow(self, ctx, need_bytes: int) -> None:
         """Advance this PE through grow epochs until its scratch
         capacity covers ``need_bytes``.  Pure function of (per-PE epoch,
         need), so every member burns identical agreement sequences even
@@ -227,7 +218,7 @@ class TeamComm:
             epoch = self._pe_epoch[pe]
             old_off, old_cap = self._epochs[epoch]
             if old_cap >= need_bytes:
-                return cont()
+                return
             new_cap = max(int(need_bytes), 2 * old_cap)
 
             def build(old_off=old_off, new_cap=new_cap, epoch=epoch):
@@ -270,24 +261,16 @@ class TeamComm:
         layer.atomic(self.flags, pe, slot, "fadd", 1, uncontended=True)
         self._record("post", "po", pe, slot, t_start)
 
-    def wait_step(self, sender_rank: int, bank: int, cont) -> WaitStep:
-        """Wait for ``sender_rank``'s post on ``bank``, consume it, then
-        ``cont()``.  The per-word timestamp merge (``word=True``) is
-        sound because every word sees strict post/consume alternation."""
+    def wait(self, sender_rank: int, bank: int):
+        """Wait for ``sender_rank``'s post on ``bank``, then consume it.
+        The per-word timestamp merge (``word=True``) is sound because
+        every word sees strict post/consume alternation."""
         ctx = current()
-        me = ctx.pe
         t_start = ctx.clock.now
         slot = bank * self.m + sender_rank
-
-        def consumed():
-            self.layer.atomic(self.flags, me, slot, "fadd", -1, uncontended=True)
-            self._record("wait", "wa", me, slot, t_start)
-            return cont()
-
-        return WaitStep(
-            self.layer, self.flags, CMP_GE, 1, consumed,
-            offset=slot, word=True,
-        )
+        yield WaitStep(self.layer, self.flags, CMP_GE, 1, offset=slot, word=True)
+        self.layer.atomic(self.flags, ctx.pe, slot, "fadd", -1, uncontended=True)
+        self._record("wait", "wa", ctx.pe, slot, t_start)
 
     # -- data plane -----------------------------------------------------
     def put_local(self, acc: SymmetricArray, values, offset: int = 0) -> None:
@@ -350,8 +333,9 @@ def get_team_comm(layer: "OneSidedLayer", members) -> TeamComm:
         return comm
 
 
-def team_comm_step(layer: "OneSidedLayer", members, need_bytes: int, cont):
-    """Step form: look up the team's comm, join/grow it to cover
-    ``need_bytes``, then ``cont(comm)``."""
+def team_comm(layer: "OneSidedLayer", members, need_bytes: int):
+    """Look up the team's comm and join/grow it to cover ``need_bytes``
+    (``yield from`` it); returns the comm."""
     comm = get_team_comm(layer, members)
-    return comm.join_step(need_bytes, lambda: cont(comm))
+    yield from comm.join(need_bytes)
+    return comm

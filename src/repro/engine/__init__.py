@@ -11,7 +11,7 @@ the interface, and:
   (``repro.explore.Scheduler`` is this class; ``"vt"`` builds one
   under the seedless virtual-time order);
 * :class:`EventEngine` — a single-threaded virtual-time event heap
-  driving continuation-passing step programs
+  driving step programs, written as generators
   (:mod:`repro.engine.steps`); weak-scales to thousands of PEs.
 
 Select with ``Job(..., engine="event")`` / ``run_spmd(..., engine=...)``
@@ -28,7 +28,9 @@ from repro.engine.steps import (
     Done,
     Step,
     WaitStep,
+    alloc,
     alloc_array_step,
+    as_steps,
     drive,
 )
 from repro.engine.threaded import ThreadedEngine
@@ -47,7 +49,9 @@ __all__ = [
     "WaitStep",
     "WorkerPool",
     "WouldBlock",
+    "alloc",
     "alloc_array_step",
+    "as_steps",
     "drive",
     "resolve_engine",
     "shared_pool",

@@ -61,6 +61,13 @@ from repro.runtime.memory import PEMemory
 DEFAULT_MAX_STEPS = 100_000
 
 
+def _summary(choices: list[str]) -> str:
+    """A choice list for an error message: its length, and its first
+    and last three tokens (a list can hold one token per PE)."""
+    shown = choices if len(choices) <= 6 else [*choices[:3], "...", *choices[-3:]]
+    return f"{len(choices)} choices [{', '.join(shown)}]"
+
+
 class DeadlockError(RuntimeError):
     """No runnable task and no pending delivery: the schedule deadlocked."""
 
@@ -359,12 +366,13 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             if self.steps >= self.max_steps:
                 raise ScheduleLimitError(
                     f"schedule exceeded {self.max_steps} steps "
-                    f"(livelocked spin loop?); last choices: {choices}"
+                    f"(livelocked spin loop?); {_summary(choices)}"
                 )
             token = self.strategy.choose(self.steps, choices)
             if token not in choices:
                 raise RuntimeError(
-                    f"strategy returned {token!r}, not one of {choices}"
+                    f"strategy returned {token!r} at step {self.steps}, "
+                    f"not one of the {_summary(choices)}"
                 )
             self.steps += 1
             self.trace.append(token)

@@ -1,8 +1,8 @@
 """The discrete-event engine: no OS threads, a virtual-time heap.
 
-PE bodies are step programs (:mod:`repro.engine.steps`): eager Python
-between blocking points, returning a :class:`Step` wherever a thread
-engine would park.  The engine trampolines all PEs on one OS thread,
+PE bodies are step programs (:mod:`repro.engine.steps`), usually
+generators: eager Python between blocking points, yielding a
+:class:`Step` wherever a thread engine would park.  The engine trampolines all PEs on one OS thread,
 dispatching the runnable PE with the smallest ``(virtual time, pe)``
 key off a binary heap — O(log n) per decision, so weak-scaling sweeps
 at thousands of PEs cost thousands of Python frames, not thousands of
@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import heapq
 import typing
+from types import GeneratorType
 
 from repro.engine.base import Engine, EngineError, WouldBlock
-from repro.engine.steps import BarrierStep, DelayStep, Done, Step, WaitStep
+from repro.engine.steps import BarrierStep, DelayStep, Done, Step, WaitStep, as_steps
 from repro.runtime.context import PEContext, set_current
 from repro.runtime.failures import raise_image_failed
 from repro.runtime.memory import PEMemory
@@ -288,6 +289,9 @@ class EventEngine(Engine):
                             results[pe] = step.value
                         elif isinstance(step, Step):
                             raise TypeError(f"unknown step type {cls.__name__}")
+                        elif cls is GeneratorType:
+                            step = as_steps(step)
+                            continue
                         else:
                             results[pe] = step  # non-steps are final values
                         break

@@ -1,14 +1,18 @@
-"""Continuation steps: the blocking protocol of the event engine.
+"""Steps, the event engine's blocking protocol, and generator bodies.
 
 The :class:`~repro.engine.event.EventEngine` has no thread to park, so a
-PE body that needs to block returns a *step* describing the blocking
-point plus a continuation to run once it clears — explicit
-continuation-passing style, trampolined by the engine (no generators,
-no greenlets).  Between steps the body is ordinary eager Python: it may
-call any non-blocking layer API (``put``/``get``/``atomic``/``quiet``/
-...) directly.
+PE body that needs to block hands the engine a *step* describing the
+blocking point plus a continuation to run once it clears — explicit
+continuation-passing style, trampolined by the engine.  Steps are the
+protocol; generators are how bodies are written: ``yield
+BarrierStep(layer)`` where the body blocks, ``yield from sub()`` to call
+another generator, ``return value`` to finish.  :func:`as_steps` runs a
+generator as a step program, and :func:`drive` and the event engine
+accept a generator wherever they accept a step program.  Between yields
+the body is ordinary eager Python: it may call any non-blocking layer
+API (``put``/``get``/``atomic``/``quiet``/...) directly.
 
-The same step programs run unchanged on the blocking engines
+The same programs run unchanged on the blocking engines
 (:class:`ThreadedEngine`, :class:`CooperativeEngine`): their drivers
 execute each step's blocking form inline via :func:`drive`, calling the
 exact same layer arrive/depart primitives the event heap does — which
@@ -26,17 +30,15 @@ Steps
   then continue (spin-loop backoff: on the event heap this reschedules
   the PE, giving other PEs the interleaving a blocked thread would).
 
-Helpers
--------
-
-:func:`alloc_array_step` expresses the collective allocation (which
-internally barriers) as a step; :func:`drive` is the inline trampoline
-used by the blocking engines.
+A yielded step's ``cont`` is filled in by :func:`as_steps`.
+:func:`alloc` is the collective allocation (which internally barriers)
+as a generator, :func:`alloc_array_step` its step form.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from types import GeneratorType
+from typing import Any, Callable, Generator
 
 from repro.runtime.context import current
 
@@ -69,7 +71,7 @@ class BarrierStep(Step):
 
     __slots__ = ("layer", "cont", "barrier", "npes")
 
-    def __init__(self, layer, cont: Callable[[], Any], *,
+    def __init__(self, layer, cont: Callable[[], Any] | None = None, *,
                  barrier=None, npes: int | None = None) -> None:
         self.layer = layer
         self.cont = cont
@@ -95,7 +97,8 @@ class WaitStep(Step):
     __slots__ = ("layer", "ivar", "cmp", "value", "offset", "cont", "word",
                  "target")
 
-    def __init__(self, layer, ivar, cmp: str, value, cont: Callable[[], Any],
+    def __init__(self, layer, ivar, cmp: str, value,
+                 cont: Callable[[], Any] | None = None,
                  offset: int = 0, word: bool = False,
                  target: int = -1) -> None:
         self.layer = layer
@@ -114,20 +117,51 @@ class DelayStep(Step):
 
     __slots__ = ("delay_us", "cont")
 
-    def __init__(self, delay_us: float, cont: Callable[[], Any]) -> None:
+    def __init__(self, delay_us: float,
+                 cont: Callable[[], Any] | None = None) -> None:
         self.delay_us = delay_us
         self.cont = cont
 
 
-def alloc_array_step(layer, shape, dtype, cont: Callable[[Any], Any]) -> Step:
-    """Collectively allocate a symmetric array as a step program.
+def as_steps(gen: Generator, cont: Callable[[Any], Any] = Done) -> Any:
+    """Run generator ``gen`` as a step program.
+
+    Resumes ``gen`` now, up to its first yield, and returns the yielded
+    step with ``cont`` set to resume ``gen`` again; when ``gen`` returns
+    ``v``, the program continues with ``cont(v)``.
+    """
+
+    def resume():
+        try:
+            step = next(gen)
+        except StopIteration as stop:
+            return cont(stop.value)
+        if not isinstance(step, Step):
+            raise TypeError(
+                f"a step program yielded {type(step).__name__}, not a Step"
+            )
+        step.cont = resume
+        return step
+
+    return resume()
+
+
+def alloc(layer, shape, dtype):
+    """Collectively allocate a symmetric array (``yield from`` it).
 
     Runs the non-blocking half (fault check + collective agreement)
-    eagerly, barriers, then passes the constructed array to ``cont``.
-    Exactly equivalent to ``cont(layer.alloc_array(shape, dtype))``.
+    eagerly, barriers, then returns the constructed array.  Exactly
+    equivalent to ``layer.alloc_array(shape, dtype)``.
     """
     build = layer._alloc_prepare(shape, dtype)
-    return BarrierStep(layer, lambda: cont(build()))
+    yield BarrierStep(layer)
+    return build()
+
+
+def alloc_array_step(layer, shape, dtype, cont: Callable[[Any], Any]) -> Step:
+    """:func:`alloc` as a step program: ``cont(array)`` after the
+    allocation barrier."""
+    return as_steps(alloc(layer, shape, dtype), cont)
 
 
 def drive(step: Any) -> Any:
@@ -135,13 +169,12 @@ def drive(step: Any) -> Any:
 
     Executes each step's blocking form inline — the same layer
     primitives the event heap dispatches — and returns the program's
-    final value.  Non-step values pass straight through, so plain
-    (non-CPS) PE bodies are unaffected.
+    final value.  A generator runs through :func:`as_steps`; other
+    non-step values pass straight through, so plain PE bodies are
+    unaffected.
     """
-    while isinstance(step, Step):
+    while True:
         cls = type(step)
-        if cls is Done:
-            return step.value
         if cls is BarrierStep:
             if step.barrier is None:
                 step.layer.barrier_all()
@@ -157,6 +190,11 @@ def drive(step: Any) -> Any:
         elif cls is DelayStep:
             current().clock.advance(step.delay_us)
             step = step.cont()
-        else:  # pragma: no cover - future step kinds must extend drivers
+        elif cls is Done:
+            return step.value
+        elif cls is GeneratorType:
+            step = as_steps(step)
+        elif isinstance(step, Step):  # pragma: no cover - new step kinds extend drivers
             raise TypeError(f"unknown step type {cls.__name__}")
-    return step
+        else:
+            return step

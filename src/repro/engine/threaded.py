@@ -15,7 +15,7 @@ import typing
 
 from repro.engine.base import Engine
 from repro.engine.pool import shared_pool
-from repro.engine.steps import Step, drive
+from repro.engine.steps import drive
 from repro.runtime.context import PEContext, set_current
 from repro.sim.faults import InjectedCrash
 
@@ -59,10 +59,7 @@ class ThreadRunMixin:
                 set_current(ctx)
                 try:
                     self._task_start(pe)
-                    result = fn(*args, **kwargs)
-                    if isinstance(result, Step):
-                        result = drive(result)
-                    results[pe] = result
+                    results[pe] = drive(fn(*args, **kwargs))
                 except JobAborted:
                     pass  # secondary failure; the root cause is recorded
                 except BaseException as exc:  # noqa: BLE001 - must not leak

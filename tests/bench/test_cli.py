@@ -53,3 +53,12 @@ def test_report_flag_writes_file(tmp_path):
     assert main(["tables", "--report", str(out)]) == 0
     text = out.read_text()
     assert "Reproduction report" in text and "Table III" in text
+
+
+def test_kvservice_target_writes_no_file(tmp_path, monkeypatch, capsys):
+    # The ledger's kvservice section is written only on an explicit
+    # --out; the figure runner's quick sweep must not overwrite it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["kvservice"]) == 0
+    assert "reshard:" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

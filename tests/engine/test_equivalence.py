@@ -11,6 +11,11 @@ on every PE's final value, final virtual clock, and the full trace
 digest.  A FaultPlan rides the same pipeline on every engine (decisions
 are per-PE op-index driven), so transient-fault runs and single-crash
 failure records must match too.
+
+Every program is also written as a generator body (``make_gen_body``,
+the straight-line twin of the continuation-passing ``make_body``); the
+twin must match the threaded continuation-passing baseline on all three
+engines.
 """
 
 import random
@@ -18,7 +23,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.steps import BarrierStep, Done, alloc_array_step
+from repro.engine.steps import BarrierStep, Done, alloc, alloc_array_step, drive
 from repro.explore import RandomWalk, Scheduler, trace_digest
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobFailure
@@ -48,6 +53,20 @@ def make_script(seed: int, num_pes: int, phases: int):
     return script
 
 
+def issue(layer, ctx, arr, payload, ops) -> None:
+    """One phase's operations, issued by its active PE."""
+    for kind, target, k, amo in ops:
+        if kind == "put":
+            layer.put(arr, payload[:k], target, offset=0)
+        elif kind == "get":
+            layer.get(arr, k, target, offset=0)
+        elif kind == "atomic":
+            operands = () if amo == "fetch" else (k,)
+            layer.atomic(arr, target, 0, amo, *operands)
+        else:
+            ctx.clock.advance(float(k))
+
+
 def make_body(layer, script):
     def body():
         ctx = current()
@@ -59,16 +78,7 @@ def make_body(layer, script):
                 return Done((int(arr.local.sum()), ctx.clock.now))
             active, ops = script[i]
             if pe == active:
-                for kind, target, k, amo in ops:
-                    if kind == "put":
-                        layer.put(arr, payload[:k], target, offset=0)
-                    elif kind == "get":
-                        layer.get(arr, k, target, offset=0)
-                    elif kind == "atomic":
-                        operands = () if amo == "fetch" else (k,)
-                        layer.atomic(arr, target, 0, amo, *operands)
-                    else:
-                        ctx.clock.advance(float(k))
+                issue(layer, ctx, arr, payload, ops)
             return BarrierStep(layer, lambda: run_phase(arr, i + 1))
 
         return alloc_array_step(layer, (ELEMS,), np.int64, lambda a: run_phase(a, 0))
@@ -76,14 +86,29 @@ def make_body(layer, script):
     return body
 
 
+def make_gen_body(layer, script):
+    """``make_body``'s program as a generator body."""
+    def body():
+        ctx = current()
+        payload = np.arange(ELEMS, dtype=np.int64) + ctx.pe
+        arr = yield from alloc(layer, (ELEMS,), np.int64)
+        for active, ops in script:
+            if ctx.pe == active:
+                issue(layer, ctx, arr, payload, ops)
+            yield BarrierStep(layer)
+        return int(arr.local.sum()), ctx.clock.now
+
+    return body
+
+
 def run_once(engine_name: str, seed: int, num_pes: int, phases: int,
-             faults=None):
+             faults=None, make=make_body):
     engine = (Scheduler(RandomWalk(seed)) if engine_name == "cooperative"
               else engine_name)
     job = Job(num_pes, heap_bytes=HEAP, engine=engine, faults=faults)
     layer = shmem_attach(job)
     tracer = trace_attach(job)
-    body = make_body(layer, make_script(seed, num_pes, phases))
+    body = make(layer, make_script(seed, num_pes, phases))
     try:
         results = job.run(body)
     except JobFailure as jf:
@@ -92,16 +117,27 @@ def run_once(engine_name: str, seed: int, num_pes: int, phases: int,
     return {"results": results, "digest": trace_digest(tracer)}
 
 
+def twin_runs(**kwargs) -> dict:
+    """The threaded continuation-passing baseline, then every engine's
+    run of both body forms (the baseline itself excepted)."""
+    runs = {"threaded": run_once("threaded", **kwargs)}
+    for name in ENGINES:
+        if name != "threaded":
+            runs[name] = run_once(name, **kwargs)
+        runs[f"{name}/generator"] = run_once(name, **kwargs, make=make_gen_body)
+    return runs
+
+
 @pytest.mark.parametrize("seed", [11, 23, 47, 101])
 def test_three_way_equivalence_random_programs(seed):
-    runs = {name: run_once(name, seed, num_pes=6, phases=5) for name in ENGINES}
-    base = runs["threaded"]
+    runs = twin_runs(seed=seed, num_pes=6, phases=5)
+    base = runs.pop("threaded")
     assert "results" in base
-    for name in ENGINES[1:]:
-        assert runs[name]["results"] == base["results"], (
+    for name, run in runs.items():
+        assert run["results"] == base["results"], (
             f"{name} results diverge from threaded (seed {seed})"
         )
-        assert runs[name]["digest"] == base["digest"], (
+        assert run["digest"] == base["digest"], (
             f"{name} trace digest diverges from threaded (seed {seed})"
         )
 
@@ -109,31 +145,34 @@ def test_three_way_equivalence_random_programs(seed):
 @pytest.mark.parametrize("seed", [5, 19])
 def test_three_way_equivalence_under_transient_faults(seed):
     plan = FaultPlan(seed=seed, transient_rate=0.4, max_failures=2)
-    runs = {
-        name: run_once(name, seed, num_pes=4, phases=4, faults=plan)
-        for name in ENGINES
-    }
-    base = runs["threaded"]
+    runs = twin_runs(seed=seed, num_pes=4, phases=4, faults=plan)
+    base = runs.pop("threaded")
     assert "results" in base, f"threaded failed: {base.get('failed')}"
-    for name in ENGINES[1:]:
-        assert runs[name] == base, f"{name} diverges under faults (seed {seed})"
+    for name, run in runs.items():
+        assert run == base, f"{name} diverges under faults (seed {seed})"
 
 
 def test_three_way_single_crash_failure_records_match():
     # Crash PE 2 at its 3rd operation; the record (pe, type, message)
     # must be engine-independent because the fault decision is priced
-    # off the per-PE op index, not off wall-clock scheduling.
+    # off the per-PE op index, not off wall-clock scheduling.  In the
+    # generator bodies the crash is raised after a yield.
     plan = FaultPlan(seed=7, crash_at={2: 3})
-    runs = {
-        name: run_once(name, seed=31, num_pes=5, phases=6, faults=plan)
-        for name in ENGINES
-    }
-    base = runs["threaded"]
+    runs = twin_runs(seed=31, num_pes=5, phases=6, faults=plan)
+    base = runs.pop("threaded")
     assert "failed" in base
     assert len(base["failed"]) == 1
     pe, kind, _msg = base["failed"][0]
     assert (pe, kind) == (2, InjectedCrash.__name__)
-    for name in ENGINES[1:]:
-        assert runs[name]["failed"] == base["failed"], (
+    for name, run in runs.items():
+        assert run["failed"] == base["failed"], (
             f"{name} failure records diverge from threaded"
         )
+
+
+def test_yielding_a_non_step_raises_type_error():
+    def body():
+        yield 42
+
+    with pytest.raises(TypeError, match="yielded int"):
+        drive(body())

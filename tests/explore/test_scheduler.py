@@ -165,6 +165,15 @@ def test_spin_livelock_hits_step_limit():
             engine=Scheduler(RandomWalk(2), max_steps=800),
         )
     assert any(isinstance(e, ScheduleLimitError) for _, e in ei.value.failures)
+    # At scale the message stays bounded: the choice count and the
+    # first and last tokens, not one token per runnable image.
+    with pytest.raises(JobFailure) as ei:
+        caf.launch(
+            _livelock_kernel, 48,
+            engine=Scheduler(RandomWalk(2), max_steps=100),
+        )
+    msg = next(str(e) for _, e in ei.value.failures if isinstance(e, ScheduleLimitError))
+    assert len(msg) < 400 and "48 choices" in msg, msg
 
 
 # ---------------------------------------------------------------------------
