@@ -45,6 +45,10 @@ QNODE_BYTES = 16
 _LOCKED_WORD = 0  # word index within the qnode
 _NEXT_WORD = 1
 
+#: A fresh qnode (locked=1, next=NIL); ``PEMemory.write`` copies it.
+_QNODE_INIT = np.array([1, NIL], dtype=np.uint64)
+_QNODE_INIT.flags.writeable = False
+
 #: Locked-word states: 1 = waiting, 0 = lock handed over.  A dead MCS
 #: holder that could not see its successor's link poisons its own qnode
 #: instead; the successor claims the lock on observing it.
@@ -57,6 +61,8 @@ _RESCUE_DEADLINE_S = 2.0
 
 _TAS_BACKOFF_START_US = 0.4
 _TAS_BACKOFF_MAX_US = 204.8
+
+_UNTRACED = nullcontext()  # what _machinery() returns without a tracer
 
 
 class LockError(CafError):
@@ -91,6 +97,12 @@ class CafLock:
 
     # ------------------------------------------------------------------
     def _flat_index(self, index) -> int:
+        shape = self.shape
+        # The two common subscripts resolve without building tuples.
+        if type(index) is int and len(shape) == 1 and 0 <= index < shape[0]:
+            return index
+        if type(index) is tuple and not index and not shape:
+            return 0
         if isinstance(index, (int, np.integer)):
             idx = (int(index),) if self.shape else ()
         else:
@@ -168,7 +180,7 @@ def _machinery(rt: CafRuntime):
     conflicts.  Quiets issued inside remain quiesce points.
     """
     tracer = rt.job.tracer
-    return tracer.sync_internal() if tracer is not None else nullcontext()
+    return tracer.sync_internal() if tracer is not None else _UNTRACED
 
 
 def _record_lock(rt, op, tag, target_pe, t_start, lck, image, flat) -> None:
@@ -208,11 +220,7 @@ def _mcs_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
         # later read/overwrite these words.
         qoff = rt.managed_alloc(me_pe, QNODE_BYTES)
         mem = rt.job.memories[me_pe]
-        mem.write(
-            rt.managed_byte_offset(qoff),
-            np.array([1, NIL], dtype=np.uint64),
-            timestamp=ctx.clock.now,
-        )
+        mem.write(rt.managed_byte_offset(qoff), _QNODE_INIT, timestamp=ctx.clock.now)
         my_ptr = pack_remote_pointer(me_image, qoff)
         # Swing the tail to me (atomic fetch-and-store = shmem_swap).
         pred = int(rt.layer.atomic(lck.handle, target_pe, flat, "swap", my_ptr))
@@ -242,7 +250,7 @@ def _mcs_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
                     # stays allocated (successors may still link to it).
                     raise
     held[key] = (qoff, lck, target_pe)
-    rt.my_stats["lock_acquires"] += 1
+    rt._stats[me_pe]["lock_acquires"] += 1
     _record_lock(rt, "lock_acquire", "la", target_pe, t_start, lck, image, flat)
 
 
@@ -287,7 +295,7 @@ def _mcs_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
             )
             rt.layer.quiet()
     rt.managed_free(me_pe, qoff)
-    rt.my_stats["lock_releases"] += 1
+    rt._stats[me_pe]["lock_releases"] += 1
     _record_lock(rt, "lock_release", "lr", target_pe, t_start, lck, image, flat)
 
 
@@ -439,7 +447,7 @@ def _tas_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
             # this spinner until the holder releases.
             spin(ctx, "lock_spin", target_pe)
     held[key] = (-1, lck, target_pe)  # no qnode for TAS
-    rt.my_stats["lock_acquires"] += 1
+    rt._stats[ctx.pe]["lock_acquires"] += 1
     _record_lock(rt, "lock_acquire", "la", target_pe, t_start, lck, image, flat)
 
 
@@ -461,5 +469,5 @@ def _tas_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
         raise LockError(
             f"lock word corrupted: expected holder {me_image}, found {old}"
         )
-    rt.my_stats["lock_releases"] += 1
+    rt._stats[ctx.pe]["lock_releases"] += 1
     _record_lock(rt, "lock_release", "lr", target_pe, t_start, lck, image, flat)

@@ -82,6 +82,21 @@ def _canonical_key(key) -> tuple | None:
     return tuple(out)
 
 
+def _element_index(shape: tuple[int, ...], key) -> int | None:
+    """Flat index of a subscript naming one in-range element, else None:
+    every planner turns it into one length-1 run at this index."""
+    if not isinstance(key, tuple):
+        key = (key,)
+    if len(key) != len(shape):
+        return None
+    flat = 0
+    for k, extent in zip(key, shape):
+        if not isinstance(k, (int, np.integer)) or not -extent <= k < extent:
+            return None
+        flat = flat * extent + int(k) % extent  # negative indices wrap
+    return flat
+
+
 class CafError(RuntimeError):
     """Errors in CAF semantics (bad image index, misuse of locks, ...)."""
 
@@ -506,6 +521,18 @@ class CafRuntime:
             ctx.clock.advance(self._ptr_cost(int(np.prod(rshape, dtype=np.int64)) * handle.itemsize if rshape else handle.itemsize))
             self.my_stats["ptr_put_calls"] += 1
             return
+        off = _element_index(shape, key) if algorithm is None else None
+        if off is not None:
+            data = np.asarray(value, dtype=handle.dtype)
+            # Exactly the one-element values the planned path accepts.
+            if data.ndim == 0 or data.shape == (1,) * len(shape):
+                self.layer.put(handle, data, pe, off)
+                stats = self._stats[current().pe]
+                stats["putmem_calls"] += 1
+                stats["put_elems"] += 1
+                if self.ordering == "caf":
+                    self.layer.quiet()
+                return
         sels, rshape, plan, spec = self._plan_for(handle, shape, key, algorithm)
         data = np.asarray(value, dtype=handle.dtype)
         if data.shape not in (rshape, tuple(s.count for s in sels)):
@@ -542,6 +569,15 @@ class CafRuntime:
             ctx.clock.advance(self._ptr_cost(result.size * handle.itemsize))
             self.my_stats["ptr_get_calls"] += 1
             return result[()] if rshape == () else result.reshape(rshape)
+        off = _element_index(shape, key) if algorithm is None else None
+        if off is not None:  # one getmem, no plan cache or marshalling
+            if self.ordering == "caf":
+                self.layer.quiet()
+            value = self.layer.get(handle, 1, pe, off)[0]
+            stats = self._stats[current().pe]
+            stats["getmem_calls"] += 1
+            stats["get_elems"] += 1
+            return value
         sels, rshape, plan, spec = self._plan_for(handle, shape, key, algorithm)
         if self.ordering == "caf":
             # Paper Section IV-B: quiet before each get so a prior put to

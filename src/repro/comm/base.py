@@ -273,14 +273,17 @@ class OneSidedLayer:
         whose algorithms schedule their own traffic and whose virtual
         times must be schedule-independent.
         """
-        self._check_pe(pe)
+        if not 0 <= pe < self.job.num_pes:
+            self._check_pe(pe)
         data = self._coerce(dest, value)
         dest.check_span(offset, data.size)
         if data.size == 0:
             return  # nothing moves: no pricing, no lock, no clock advance
+        addr = dest.byte_offset + offset * dest.itemsize  # span checked above
         ctx = current()
         self._decide(ctx, "put", pe)
-        self._check_failed(ctx, "put", pe)
+        if self._failed is not None:
+            self._check_failed(ctx, "put", pe)
         t_start = ctx.clock.now
         if uncontended:
             def price(now, _n=data.nbytes):
@@ -296,26 +299,20 @@ class OneSidedLayer:
                 )
         timing = self._priced(ctx, self, "put", pe, price, _FAIL_AT_REMOTE)
         if self._eager:
-            self.job.memories[pe].write(
-                dest.element_offset(offset),
-                data,
-                timestamp=timing.remote_complete,
-            )
+            self.job.memories[pe].write(addr, data, timestamp=timing.remote_complete)
         else:
             # Weak completion: the deposit becomes a separately
             # schedulable delivery.  Copy the payload — a blocking put's
             # source is reusable the moment the call returns.
             mem = self.job.memories[pe]
-            eo = dest.element_offset(offset)
             payload = data.copy()
             ts = timing.remote_complete
-            self._deposit(ctx, lambda: mem.write(eo, payload, timestamp=ts))
+            self._deposit(ctx, lambda: mem.write(addr, payload, timestamp=ts))
         ctx.clock.merge(timing.local_complete)
         if timing.remote_complete > self._pending[ctx.pe]:
             self._pending[ctx.pe] = timing.remote_complete
         tracer = self.job.tracer
         if tracer is not None:
-            addr = dest.element_offset(offset)
             fp = contiguous_footprint(addr, data.nbytes) if tracer.capture_sync else ()
             tracer.record(
                 ctx.pe, "put", pe, data.nbytes, t_start, ctx.clock.now,
@@ -328,13 +325,16 @@ class OneSidedLayer:
 
         ``uncontended`` as in :meth:`put`.
         """
-        self._check_pe(pe)
+        if not 0 <= pe < self.job.num_pes:
+            self._check_pe(pe)
         src.check_span(offset, nelems)
         if nelems == 0:
             return np.empty(0, dtype=src.dtype)
+        addr = src.byte_offset + offset * src.itemsize  # span checked above
         ctx = current()
         self._decide(ctx, "get", pe)
-        self._check_failed(ctx, "get", pe)
+        if self._failed is not None:
+            self._check_failed(ctx, "get", pe)
         nbytes = nelems * src.itemsize
         t_start = ctx.clock.now
         if uncontended:
@@ -350,17 +350,17 @@ class OneSidedLayer:
                     key, self.job.network.get_pricer(ctx.pe, pe, nbytes, self.profile)
                 )
         done = self._priced(ctx, self, "get", pe, price, _fail_at_done)
-        raw = self.job.memories[pe].read(src.element_offset(offset), nbytes)
+        raw = self.job.memories[pe].read(addr, nbytes)
         ctx.clock.merge(done)
         tracer = self.job.tracer
         if tracer is not None:
-            addr = src.element_offset(offset)
             fp = contiguous_footprint(addr, nbytes) if tracer.capture_sync else ()
             tracer.record(
                 ctx.pe, "get", pe, nbytes, t_start, ctx.clock.now,
                 addr=addr, footprint=fp,
             )
-        return raw.view(src.dtype).copy()
+        # ``PEMemory.read`` already returned a private copy.
+        return raw.view(src.dtype)
 
     # ------------------------------------------------------------------
     # 1-D strided RMA
@@ -727,7 +727,8 @@ class OneSidedLayer:
         ``uncontended`` as in :meth:`put` (the causality lift on the
         word's previous timestamp still applies — it is deterministic).
         """
-        self._check_pe(pe)
+        if not 0 <= pe < self.job.num_pes:
+            self._check_pe(pe)
         target.check_span(offset, 1)
         if target.itemsize != 8:
             raise TypeError(
@@ -735,11 +736,14 @@ class OneSidedLayer:
                 f"(the paper packs MCS pointers into 64 bits for this reason)"
             )
         dtype = target.dtype
+        # The span check above already validated ``offset``.
+        elem_offset = target.byte_offset + offset * 8
         ctx = current()
         # Atomics bypass the delivery queues (the NIC atomic unit is
         # not write-buffered): they execute at the chosen step.
         self._decide(ctx, "atomic", pe)
-        self._check_failed(ctx, "atomic", pe)
+        if self._failed is not None:
+            self._check_failed(ctx, "atomic", pe)
         t_start = ctx.clock.now
         if uncontended:
             proc = back = None
@@ -758,7 +762,6 @@ class OneSidedLayer:
             price, proc, back = entry
         done = self._priced(ctx, self, "atomic", pe, price, _fail_at_done)
         fn = self._amo_fn(op, dtype, operands)
-        elem_offset = target.element_offset(offset)
         old, prev_time, seq = self.job.memories[pe].atomic_rmw_timed(
             elem_offset, dtype, fn, timestamp=done
         )

@@ -9,6 +9,7 @@ pointer to name remote memory.
 
 from __future__ import annotations
 
+import math
 import typing
 
 import numpy as np
@@ -22,7 +23,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 class SymmetricArray:
     """Handle to a symmetric heap allocation, typed as a NumPy array."""
 
-    __slots__ = ("layer", "byte_offset", "shape", "dtype", "_freed")
+    __slots__ = ("layer", "byte_offset", "shape", "dtype", "size", "itemsize", "_freed")
 
     def __init__(
         self,
@@ -35,23 +36,15 @@ class SymmetricArray:
         self.byte_offset = byte_offset
         self.shape = shape
         self.dtype = np.dtype(dtype)
+        # Shape and dtype never change: size and itemsize are plain slots.
+        self.size = math.prod(shape)
+        self.itemsize = self.dtype.itemsize
         self._freed = False
 
     # ------------------------------------------------------------------
     @property
-    def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
-
-    @property
     def nbytes(self) -> int:
-        return self.size * self.dtype.itemsize
-
-    @property
-    def itemsize(self) -> int:
-        return self.dtype.itemsize
+        return self.size * self.itemsize
 
     def _check_live(self) -> None:
         if self._freed:
@@ -62,11 +55,13 @@ class SymmetricArray:
         self._check_live()
         if not 0 <= index < max(self.size, 1):
             raise IndexError(f"element {index} out of range [0, {self.size})")
-        return self.byte_offset + index * self.dtype.itemsize
+        return self.byte_offset + index * self.itemsize
 
     def check_span(self, start_elem: int, nelems: int, stride: int = 1) -> None:
         """Validate that a strided element span fits inside the array."""
         self._check_live()
+        if nelems == 1 and 0 <= start_elem < self.size:
+            return  # the scalar case: one in-range element
         if nelems < 0:
             raise ValueError("nelems must be non-negative")
         if nelems == 0:

@@ -40,6 +40,8 @@ class PEMemory:
         # Wall-order sequence number of atomic updates per word; the
         # sanitizer chains same-word atomics into happens-before edges.
         self._word_seq: dict[int, int] = {}
+        # Whole-heap typed views per atomic dtype, built on first use.
+        self._typed: dict = {}
 
     def _make_cond(self):
         """The lock/notify object; the one hook a subclass overrides
@@ -51,16 +53,6 @@ class PEMemory:
         ``self._cond`` held)."""
         if timestamp > self._last_write_time:
             self._last_write_time = timestamp
-
-    def _word_update(self, offset: int, timestamp: float) -> tuple[float, int]:
-        """Record an atomic update to ``offset`` (``self._cond`` held);
-        returns the previous update's timestamp and this update's
-        1-based sequence number."""
-        prev_time = self._word_times.get(offset, 0.0)
-        self._word_times[offset] = max(timestamp, prev_time)
-        seq = self._word_seq.get(offset, 0) + 1
-        self._word_seq[offset] = seq
-        return prev_time, seq
 
     # ------------------------------------------------------------------
     def _check_range(self, offset: int, length: int) -> None:
@@ -346,13 +338,26 @@ class PEMemory:
         consume virtual time instead of being free.  The sequence number
         feeds the sanitizer's same-word atomic ordering edges.
         """
-        dt = np.dtype(dtype)
-        self._check_range(offset, dt.itemsize)
+        typed = self._typed.get(dtype)
+        if typed is None:
+            dt = np.dtype(dtype)
+            typed = self._typed[dtype] = self._buf[: self.nbytes - self.nbytes % dt.itemsize].view(dt)
+        size = typed.itemsize
+        self._check_range(offset, size)
         with self._cond:
-            view = self._buf[offset : offset + dt.itemsize].view(dt)
-            old = view[0].copy()
-            view[0] = fn(old)
-            prev_time, seq = self._word_update(offset, timestamp)
+            if offset % size:
+                view = self._buf[offset : offset + size].view(typed.dtype)
+                old = view[0].copy()
+                view[0] = fn(old)
+            else:
+                # Integer indexing yields a fresh scalar, not a view.
+                i = offset // size
+                old = typed[i]
+                typed[i] = fn(old)
+            prev_time = self._word_times.get(offset, 0.0)
+            self._word_times[offset] = prev_time if prev_time > timestamp else timestamp
+            seq = self._word_seq.get(offset, 0) + 1
+            self._word_seq[offset] = seq
             self._note_write(timestamp)
             self._cond.notify_all()
             return old, prev_time, seq

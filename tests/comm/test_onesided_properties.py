@@ -2,6 +2,7 @@
 through every layer that subclasses it."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,31 @@ def test_put_get_roundtrip_any_layer(layer_name, dtype, size, offset_frac):
         peer_data = (np.arange(nelems) % 120 + (me - 1) % n).astype(dtype)
         assert np.array_equal(arr.local[offset:], peer_data)
         assert np.array_equal(got, data)
+        return True
+
+    job = Job(2)
+    LAYER_FACTORIES[layer_name](job)
+    assert all(job.run(kernel))
+
+
+@pytest.mark.parametrize("layer_name", sorted(LAYER_FACTORIES))
+def test_get_result_does_not_alias_target_heap(layer_name):
+    """Mutating the array ``get`` returns leaves the target heap alone."""
+
+    def kernel():
+        layer = current().job.get_layer(layer_name)
+        arr = layer.alloc_array((8,), np.int64)
+        me, n = current().pe, current().job.num_pes
+        peer = (me + 1) % n
+        arr.local[:] = np.arange(8) + 10 * me
+        layer.barrier_all()
+        for nelems in (1, 4):
+            got = layer.get(arr, nelems, peer, 2)
+            got[:] = -1
+            want = np.arange(2, 2 + nelems) + 10 * peer
+            assert np.array_equal(layer.get(arr, nelems, peer, 2), want)
+        layer.barrier_all()
+        assert np.array_equal(arr.local, np.arange(8) + 10 * me)
         return True
 
     job = Job(2)

@@ -114,6 +114,49 @@ def test_atomic_rmw_concurrent_increments():
     assert m.read_scalar(0, np.int64) == n_threads * per
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.float64])
+def test_atomic_rmw_timed_matches_byte_slice_reference(dtype):
+    """Aligned words go through the whole-heap typed view, unaligned ones
+    through a byte slice; both must agree with a byte-slice reference on
+    a heap whose size is not a multiple of the word."""
+    dt = np.dtype(dtype)
+    m = PEMemory(60)
+    ref = (np.arange(60) * 37 % 251).astype(np.uint8)
+    m.write(0, ref, timestamp=0.0)
+    ref_times: dict = {}
+    ref_seq: dict = {}
+
+    def fn(old):
+        if dt.kind == "f":
+            return dt.type(old * 0.5 + 1.0)
+        return dt.type(old ^ dt.type(0x5A5A))
+
+    # 48 is the last aligned word (bytes 48-56); 52 the last unaligned fit.
+    steps = [(0, 2.0), (48, 1.0), (3, 5.0), (52, 0.5), (48, 0.25), (0, 7.0), (3, 1.5), (8, 3.0)]
+    for offset, ts in steps:
+        key = dt if offset % 2 else dtype  # both dtype spellings work
+        old, prev_time, seq = m.atomic_rmw_timed(offset, key, fn, timestamp=ts)
+        word = ref[offset : offset + 8].view(dt)
+        want = word[0].copy()
+        word[0] = fn(want)
+        want_prev = ref_times.get(offset, 0.0)
+        ref_times[offset] = max(ts, want_prev)
+        ref_seq[offset] = ref_seq.get(offset, 0) + 1
+        assert type(old) is type(want) and old.tobytes() == want.tobytes()
+        assert prev_time == want_prev
+        assert seq == ref_seq[offset]
+        assert m.word_time(offset) == ref_times[offset]
+        assert np.array_equal(m.read(0, 60), ref)
+    # The returned old value is a snapshot, not a view of the heap.
+    old, _, _ = m.atomic_rmw_timed(48, dtype, fn, timestamp=9.0)
+    snapshot = old.tobytes()
+    m.write(48, bytes(255 - b for b in snapshot), timestamp=9.5)
+    assert old.tobytes() == snapshot
+    for offset in (53, 56, -1):
+        with pytest.raises(IndexError):
+            m.atomic_rmw_timed(offset, dtype, fn, timestamp=0.0)
+
+
 def test_accumulate_elementwise():
     m = PEMemory(64)
     m.write(0, np.array([1.0, 2.0], dtype=np.float64), timestamp=0.0)
