@@ -46,30 +46,15 @@ def build_spec(plan: TransferPlan, itemsize: int) -> BatchSpec | None:
     because planners emit uniform runs (one shared length) or uniform
     lines (one shared count and stride).
     """
-    if plan.lines:
-        count = plan.lines[0].count
-        stride = plan.lines[0].stride
-        offs = np.fromiter(
-            (ln.offset for ln in plan.lines), dtype=np.int64, count=len(plan.lines)
-        )
-        elems = (
-            offs[:, None] + np.arange(count, dtype=np.int64)[None, :] * stride
-        ).reshape(-1)
-        kind, ncalls, per_call = "lines", len(plan.lines), count
-    elif plan.runs:
-        length = plan.runs[0].length
-        offs = np.fromiter(
-            (r.offset for r in plan.runs), dtype=np.int64, count=len(plan.runs)
-        )
-        elems = (offs[:, None] + np.arange(length, dtype=np.int64)[None, :]).reshape(-1)
-        kind, ncalls, per_call, stride = "runs", len(plan.runs), length, 1
-    else:
+    if plan.kind is None:
         return None
+    within = np.arange(plan.per_call, dtype=np.int64) * plan.stride
+    elems = (plan.offsets[:, None] + within[None, :]).reshape(-1)
     return BatchSpec(
-        kind=kind,
-        ncalls=ncalls,
-        nelems_per_call=per_call,
-        stride=stride,
+        kind=plan.kind,
+        ncalls=plan.num_calls,
+        nelems_per_call=plan.per_call,
+        stride=plan.stride,
         rel_index=elems * itemsize,
         min_elem=int(elems.min()),
         max_elem=int(elems.max()),
@@ -88,8 +73,8 @@ def _single_line(layer: OneSidedLayer, plan: TransferPlan) -> bool:
     pricing, stats, and trace.  Non-native single lines only qualify
     when they hold a single element (otherwise the batch path's
     aggregate pricing is the faster shape)."""
-    return len(plan.lines) == 1 and (
-        layer.profile.iput_native or plan.lines[0].count == 1
+    return plan.kind == "lines" and plan.num_calls == 1 and (
+        layer.profile.iput_native or plan.per_call == 1
     )
 
 
@@ -110,28 +95,25 @@ def execute_put(
     """
     shape = _sel_shape(sels)
     payload = np.ascontiguousarray(np.broadcast_to(data, shape), dtype=handle.dtype)
-    if plan.lines:
+    lines = plan.kind == "lines"
+    if lines:
         moved = np.moveaxis(payload, plan.base_dim, -1)
         flat = np.ascontiguousarray(moved).reshape(-1)
     else:
         flat = payload.reshape(-1)
     if _single_line(layer, plan):
-        line = plan.lines[0]
         layer.iput(
-            handle, flat, tst=line.stride, sst=1,
-            nelems=line.count, pe=pe, offset=line.offset,
+            handle, flat, tst=plan.stride, sst=1,
+            nelems=plan.per_call, pe=pe, offset=int(plan.offsets[0]),
         )
-    elif not plan.lines and len(plan.runs) == 1:
-        layer.put(handle, flat, pe, offset=plan.runs[0].offset)
+    elif plan.kind == "runs" and plan.num_calls == 1:
+        layer.put(handle, flat, pe, offset=int(plan.offsets[0]))
     else:
         if spec is None:
             spec = build_spec(plan, handle.itemsize)
         if spec is not None:
             layer.execute_plan_put(handle, flat, pe, spec)
-    if plan.lines:
-        stats["iput_calls"] += len(plan.lines)
-    else:
-        stats["putmem_calls"] += len(plan.runs)
+    stats["iput_calls" if lines else "putmem_calls"] += plan.num_calls
     stats["put_elems"] += int(payload.size)
 
 
@@ -148,13 +130,12 @@ def execute_get(
     shaped like the (unsqueezed) selection."""
     shape = _sel_shape(sels)
     if _single_line(layer, plan):
-        line = plan.lines[0]
         flat = layer.iget(
-            handle, tst=1, sst=line.stride, nelems=line.count, pe=pe, offset=line.offset
+            handle, tst=1, sst=plan.stride, nelems=plan.per_call, pe=pe,
+            offset=int(plan.offsets[0]),
         )
-    elif not plan.lines and len(plan.runs) == 1:
-        run = plan.runs[0]
-        flat = layer.get(handle, run.length, pe, offset=run.offset)
+    elif plan.kind == "runs" and plan.num_calls == 1:
+        flat = layer.get(handle, plan.per_call, pe, offset=int(plan.offsets[0]))
     else:
         if spec is None:
             spec = build_spec(plan, handle.itemsize)
@@ -162,14 +143,14 @@ def execute_get(
             flat = np.empty(0, dtype=handle.dtype)
         else:
             flat = layer.execute_plan_get(handle, pe, spec)
-    if plan.lines:
+    if plan.kind == "lines":
         # Lines enumerate the base dimension last; move it back.
         base = plan.base_dim
         moved_shape = tuple(c for d, c in enumerate(shape) if d != base) + (shape[base],)
         result = np.ascontiguousarray(np.moveaxis(flat.reshape(moved_shape), -1, base))
-        stats["iget_calls"] += len(plan.lines)
+        stats["iget_calls"] += plan.num_calls
     else:
         result = flat.reshape(shape)
-        stats["getmem_calls"] += len(plan.runs)
+        stats["getmem_calls"] += plan.num_calls
     stats["get_elems"] += int(result.size)
     return result

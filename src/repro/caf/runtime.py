@@ -63,6 +63,8 @@ def _canonical_key(key) -> tuple | None:
         key = (key,)
     out = []
     for k in key:
+        if isinstance(k, bool):  # rejected by normalize_selection
+            return None
         if isinstance(k, (int, np.integer)):
             out.append(int(k))
         elif isinstance(k, slice):
@@ -91,6 +93,8 @@ def _element_index(shape: tuple[int, ...], key) -> int | None:
         return None
     flat = 0
     for k, extent in zip(key, shape):
+        if isinstance(k, bool):  # rejected by normalize_selection
+            return None
         if not isinstance(k, (int, np.integer)) or not -extent <= k < extent:
             return None
         flat = flat * extent + int(k) % extent  # negative indices wrap

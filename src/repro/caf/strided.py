@@ -34,16 +34,19 @@ several algorithms:
     ``matrix`` when runs are contiguous, else ``2dim`` on conduits with
     native ``iput`` and ``naive`` otherwise.
 
-Plans are pure data (offsets in elements); execution lives in
-:mod:`repro.caf.coarray`.  Plan generation is exact: tests verify that
+Plans are pure data: one element offset per call in an int64 array,
+plus the length (or count and stride) every call shares; execution
+lives in :mod:`repro.caf.rma`.  Plan generation is exact: tests verify that
 executing any plan touches exactly the elements NumPy slicing selects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from repro.sim.resources import chain_last
 
 ALGORITHMS = (
     "naive",
@@ -84,24 +87,65 @@ class StridedLine:
     count: int
 
 
-@dataclass(frozen=True, slots=True)
+_NO_CALLS = np.empty(0, dtype=np.int64)
+_NO_CALLS.setflags(write=False)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class TransferPlan:
-    """Decomposition of a multi-dimensional section into library calls."""
+    """Decomposition of a multi-dimensional section into library calls.
+
+    Every planner emits *uniform* calls — runs of one shared length, or
+    lines of one shared count and stride — so a plan is one offset per
+    call plus the shared shape, not a tuple of per-call objects.
+    """
 
     algorithm: str
-    runs: tuple[ContigRun, ...] = ()
-    lines: tuple[StridedLine, ...] = ()
+    #: ``"runs"`` (contiguous putmem/getmem), ``"lines"`` (1-D strided
+    #: iput/iget), or None for an empty plan.
+    kind: str | None = None
+    #: Read-only int64 element offset of every call, in plan order
+    #: (cached plans are shared by every PE thread).
+    offsets: np.ndarray = field(default_factory=lambda: _NO_CALLS)
+    #: Run length, or line element count.
+    per_call: int = 0
+    #: Element stride within a line (1 for runs).
+    stride: int = 1
     #: Axis moved last so that flattened payload chunks match ``lines``
     #: (only set for line plans; None means natural C order).
     base_dim: int | None = None
 
     @property
     def num_calls(self) -> int:
-        return len(self.runs) + len(self.lines)
+        return self.offsets.size
 
     @property
     def total_elems(self) -> int:
-        return sum(r.length for r in self.runs) + sum(ln.count for ln in self.lines)
+        return self.offsets.size * self.per_call
+
+    @property
+    def runs(self) -> tuple[ContigRun, ...]:
+        """Per-call view of a run plan (built on access)."""
+        if self.kind != "runs":
+            return ()
+        return tuple(ContigRun(o, self.per_call) for o in self.offsets.tolist())
+
+    @property
+    def lines(self) -> tuple[StridedLine, ...]:
+        """Per-call view of a line plan (built on access)."""
+        if self.kind != "lines":
+            return ()
+        return tuple(
+            StridedLine(o, self.stride, self.per_call) for o in self.offsets.tolist()
+        )
+
+
+def _calls(algorithm: str, kind: str, offsets: np.ndarray, per_call: int,
+           stride: int = 1, base_dim: int | None = None) -> TransferPlan:
+    """A non-empty uniform plan; takes ownership of ``offsets``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets.setflags(write=False)
+    return TransferPlan(algorithm, kind, offsets, int(per_call), int(stride), base_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +180,8 @@ def normalize_selection(
     sels: list[DimSel] = []
     result_shape: list[int] = []
     for dim, (k, extent) in enumerate(zip(key, shape)):
+        if isinstance(k, (bool, np.bool_)):  # bool is an int subclass
+            raise TypeError(f"boolean subscript {k!r} in dim {dim} is not an index")
         if isinstance(k, (int, np.integer)):
             idx = int(k)
             if idx < 0:
@@ -208,12 +254,12 @@ def plan_contiguous(
     partial, step-1) dimension, outside of which all counts are 1.
     """
     if not sels:
-        return TransferPlan(algorithm="contiguous", runs=(ContigRun(0, 1),))
+        return _calls("contiguous", "runs", np.zeros(1, dtype=np.int64), 1)
     total = 1
     for s in sels:
         total *= s.count
     if total == 0:
-        return TransferPlan(algorithm="contiguous", runs=())
+        return TransferPlan("contiguous")
     strides = _row_strides(shape)
     d = len(sels) - 1
     # Swallow fully-selected step-1 fast dimensions.
@@ -228,7 +274,7 @@ def plan_contiguous(
             return None
         d -= 1
     offset = sum(s.start * rs for s, rs in zip(sels, strides))
-    return TransferPlan(algorithm="contiguous", runs=(ContigRun(int(offset), total),))
+    return _calls("contiguous", "runs", np.array([offset], dtype=np.int64), total)
 
 
 def plan_naive(sels: list[DimSel], shape: tuple[int, ...]) -> TransferPlan:
@@ -240,17 +286,13 @@ def plan_naive(sels: list[DimSel], shape: tuple[int, ...]) -> TransferPlan:
     """
     contig = plan_contiguous(sels, shape)
     if contig is not None:
-        return TransferPlan(algorithm="naive", runs=contig.runs)
+        return replace(contig, algorithm="naive")
     last = len(sels) - 1
     inner = sels[last]
     if inner.step == 1 and inner.count > 1:
         bases = _outer_offsets(sels, shape, skip=last)
-        runs = tuple(ContigRun(int(b), inner.count) for b in bases)
-        return TransferPlan(algorithm="naive", runs=runs)
-    offs = selection_offsets(sels, shape)
-    return TransferPlan(
-        algorithm="naive", runs=tuple(ContigRun(int(o), 1) for o in offs)
-    )
+        return _calls("naive", "runs", bases, inner.count)
+    return _calls("naive", "runs", selection_offsets(sels, shape), 1)
 
 
 def _line_plan(
@@ -260,8 +302,7 @@ def _line_plan(
     sel = sels[base]
     stride = sel.step * strides[base]
     bases = _outer_offsets(sels, shape, skip=base)
-    lines = tuple(StridedLine(int(b), int(stride), sel.count) for b in bases)
-    return TransferPlan(algorithm=algorithm, lines=lines, base_dim=base)
+    return _calls(algorithm, "lines", bases, sel.count, stride, base)
 
 
 def choose_base_dim(sels: list[DimSel], candidates: list[int]) -> int:
@@ -310,8 +351,7 @@ def plan_matrix(sels: list[DimSel], shape: tuple[int, ...]) -> TransferPlan:
         return TransferPlan(algorithm="matrix")
     inner = sels[-1]
     if inner.step == 1 and inner.count > 1:
-        naive = plan_naive(sels, shape)
-        return TransferPlan(algorithm="matrix", runs=naive.runs)
+        return replace(plan_naive(sels, shape), algorithm="matrix")
     return _line_plan(sels, shape, choose_base_dim(sels, list(range(len(sels)))[-2:]), "matrix")
 
 
@@ -334,14 +374,15 @@ def estimate_plan_cost(
     """
     bytes_total = plan.total_elems * elem_size
     wire = bytes_total / bandwidth_Bpus
-    if plan.lines:
+    if plan.kind == "lines":
         if not iput_native:
             return plan.total_elems * o_call_us + wire
-        cost = len(plan.lines) * o_call_us + wire
-        for line in plan.lines:
-            cost += line.count * gap_fn(elem_size, line.stride * elem_size)
-        return cost
-    return len(plan.runs) * o_call_us + wire
+        cost = plan.num_calls * o_call_us + wire
+        # One gap term per line, added line by line (the order fixes
+        # the float result the planner compares).
+        term = plan.per_call * gap_fn(elem_size, plan.stride * elem_size)
+        return chain_last(cost, (term,), plan.num_calls)
+    return plan.num_calls * o_call_us + wire
 
 
 def plan_model(
@@ -363,8 +404,6 @@ def plan_model(
     (call overheads, payload bytes, and the stride-dependent gather
     gap that encodes cache-line locality), and picks the cheapest.
     """
-    from dataclasses import replace
-
     if not sels or any(s.count == 0 for s in sels):
         return TransferPlan(algorithm="model")
     candidates = [plan_naive(sels, shape)]

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.resources import Timeline
+from repro.sim.resources import Timeline, chain_last
 from repro.sim.topology import Topology
 
 
@@ -564,39 +564,28 @@ class NetworkModel:
     # arithmetic replays the scalar pricer's additions in the same
     # order: ``np.cumsum`` accumulates strictly left to right, so a
     # cumsum over the tiled per-call deltas is bit-for-bit the value
-    # chain a scalar loop would produce, and the timelines' batch
-    # primitives (``reserve_batch``/``push_batch``) do the same for the
-    # counters — every returned time and every timeline counter is
+    # chain a scalar loop would produce.  Chains read only at their end
+    # (intra-node chains, the get/iget chains after the first call) use
+    # :func:`~repro.sim.resources.chain_last`, the same value without
+    # the per-call array; chains that feed ``reserve_batch`` (put/iput
+    # ready and tx starts) need every element and stay on cumsum.  The
+    # timelines' batch primitives (``reserve_batch``/``push_batch``) do
+    # the same for the counters — every returned time and every timeline counter is
     # bit-identical to ``count`` sequential calls.  The whole chain is
     # priced atomically; under multi-initiator contention a scalar loop
     # could interleave with other PEs' reservations, but that
     # interleaving is scheduler-dependent (nondeterministic) either way.
-
-    @staticmethod
-    def _chain_last(now: float, template: np.ndarray) -> float:
-        """Final value of ``cumsum([now, *template])`` — the scalar
-        chain's exact left-to-right additions."""
-        seq = np.empty(1 + template.size, dtype=np.float64)
-        seq[0] = now
-        seq[1:] = template
-        return float(np.cumsum(seq)[-1])
 
     def _make_put_batch(self, src_node, dst_node, nbytes, count, conduit):
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         m = self._machine
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_put_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
+            period = (0.5 * conduit.o_put_us, m.intra_latency_us,
+                      nbytes / m.intra_bandwidth_Bpus)
 
             def price(now: float) -> TransferTiming:
-                done = self._chain_last(now, tmpl)
+                done = chain_last(now, period, count)
                 return TransferTiming(local_complete=done, remote_complete=done)
 
             return price
@@ -647,37 +636,13 @@ class NetworkModel:
             raise ValueError("nbytes must be non-negative")
         m = self._machine
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_get_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
-            return lambda now: self._chain_last(now, tmpl)
+            period = (0.5 * conduit.o_get_us, m.intra_latency_us,
+                      nbytes / m.intra_bandwidth_Bpus)
+            return lambda now: chain_last(now, period, count)
         o_get = conduit.o_get_us
         wire = self._wire_time(nbytes, conduit)
         tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        # The first call can queue on both timelines and is reserved for
-        # real.  After it: done_{k-1} -> +o_get -> +L -> tx_start_k -> +L
-        # -> rx_start_k -> +wire -> done_k, each earliest provably >= the
-        # timeline's next_free left by the previous call (no re-queueing).
-        tmpl = np.tile(np.asarray((o_get, L, L, wire), dtype=np.float64), count - 1)
-
-        def price(now: float) -> float:
-            s1, _ = tx.reserve(now + o_get + L, wire)
-            _, done1 = rx.reserve(s1 + L, wire)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = done1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[2::4]
-            tx.push_batch(float(tx_starts[-1] + wire), count - 1, wire)
-            rx.push_batch(float(full[-1]), count - 1, wire)
-            return float(full[-1])
-
-        return price
+        return self._make_fetch_chain(tx, rx, o_get, L, wire, count)
 
     def _make_iput_batch(
         self, src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
@@ -692,17 +657,11 @@ class NetworkModel:
         nbytes = nelems * elem_size
         gap = self._gather_gap(conduit, elem_size, stride_bytes)
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_put_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus, nelems * gap),
-                    dtype=np.float64,
-                ),
-                count,
-            )
+            period = (0.5 * conduit.o_put_us, m.intra_latency_us,
+                      nbytes / m.intra_bandwidth_Bpus, nelems * gap)
 
             def price(now: float) -> TransferTiming:
-                done = self._chain_last(now, tmpl)
+                done = chain_last(now, period, count)
                 return TransferTiming(local_complete=done, remote_complete=done)
 
             return price
@@ -742,32 +701,36 @@ class NetworkModel:
         m = self._machine
         nbytes = nelems * elem_size
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_get_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
-            return lambda now: self._chain_last(now, tmpl)
+            period = (0.5 * conduit.o_get_us, m.intra_latency_us,
+                      nbytes / m.intra_bandwidth_Bpus)
+            return lambda now: chain_last(now, period, count)
         o_get = conduit.o_get_us
         gap = self._gather_gap(conduit, elem_size, stride_bytes)
         duration = self._wire_time(nbytes, conduit) + nelems * gap
         tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        tmpl = np.tile(np.asarray((o_get, L, L, duration), dtype=np.float64), count - 1)
+        return self._make_fetch_chain(tx, rx, o_get, L, duration, count)
+
+    @staticmethod
+    def _make_fetch_chain(tx, rx, o_get, L, duration, count):
+        """Price ``count >= 2`` back-to-back inter-node gets/igets.
+
+        The first call can queue on both timelines and is reserved for
+        real.  After it: done_{k-1} -> +o_get -> +L -> tx_start_k -> +L
+        -> rx_start_k -> +duration -> done_k, each earliest provably >=
+        the timeline's next_free left by the previous call (no
+        re-queueing).  Only the last call's tx start and done are read,
+        so the chain up to the last call is one :func:`chain_last`.
+        """
+        period = (o_get, L, L, duration)
 
         def price(now: float) -> float:
             s1, _ = tx.reserve(now + o_get + L, duration)
             _, done1 = rx.reserve(s1 + L, duration)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = done1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[2::4]
-            tx.push_batch(float(tx_starts[-1] + duration), count - 1, duration)
-            rx.push_batch(float(full[-1]), count - 1, duration)
-            return float(full[-1])
+            tx_last = chain_last(done1, period, count - 2) + o_get + L
+            done = tx_last + L + duration
+            tx.push_batch(tx_last + duration, count - 1, duration)
+            rx.push_batch(done, count - 1, duration)
+            return done
 
         return price
 

@@ -12,9 +12,60 @@ Timelines are shared between PE threads and therefore thread-safe.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
+
+
+def chain_last(x: float, deltas: tuple[float, ...], n: int) -> float:
+    """``cumsum([x, *deltas * n])[-1]`` bit for bit: the final value of
+    ``n`` periods of sequential float additions, for chains whose
+    intermediate values nobody reads.
+
+    Inside one binade ``[2**e, 2**(e+1))`` every float is a multiple of
+    the ulp, so adding a fixed non-negative delta moves every x in the
+    binade by the same rounded step — unless the delta ends in exactly
+    half an ulp, where round-half-even makes the step depend on the
+    parity of ``x / ulp``.  When one period's rounded step is the same
+    taken from ``x`` and from ``nextafter(x, inf)`` (which rules out a
+    tie at any of its additions), the chain is an exact arithmetic
+    progression until it reaches the binade's top, and that whole
+    stretch is one multiply-add.  Everything else — ``x == 0``, a tie,
+    a period that crosses the top, a negative delta — takes one scalar
+    period.  Host work is therefore O(binades crossed), not O(n).
+    """
+    x = float(x)
+    if n <= 0 or not deltas:
+        return x
+    monotone = min(deltas) >= 0.0
+    k = 0
+    while k < n:
+        if monotone and 0.0 < x < math.inf:
+            top = math.ldexp(1.0, math.frexp(x)[1])
+            y = x
+            for d in deltas:
+                y += d
+            x1 = math.nextafter(x, math.inf)
+            y1 = x1
+            for d in deltas:
+                y1 += d
+            step = y - x  # exact: y and x share a binade
+            if y1 < top and y1 - x1 == step:
+                if step == 0.0:
+                    return float(x)
+                # Whole periods that end below the top; x + j*step is
+                # exact there and >= top (faithfully) past it.
+                j = min(n - k, int((top - x) / step))
+                while x + j * step >= top:
+                    j -= 1
+                x += j * step
+                k += j
+                continue
+        for d in deltas:
+            x += d
+        k += 1
+    return float(x)  # a Python float even when a delta is np.float64
 
 
 def _chain_starts(
@@ -137,11 +188,8 @@ class Timeline:
             starts = _chain_starts(earliest, duration, self._next_free)
             self._next_free = float(starts[-1] + duration)
             # busy_time accumulates by repeated addition in the scalar
-            # path; replay the same additions via cumsum.
-            busy = np.empty(n + 1, dtype=np.float64)
-            busy[0] = self._busy_time
-            busy[1:] = duration
-            self._busy_time = float(np.cumsum(busy)[-1])
+            # path; chain_last replays those additions exactly.
+            self._busy_time = chain_last(self._busy_time, (duration,), n)
             self._reservations += n
             return starts
 
@@ -158,10 +206,7 @@ class Timeline:
         with self._lock:
             if final_next_free > self._next_free:
                 self._next_free = float(final_next_free)
-            busy = np.empty(count + 1, dtype=np.float64)
-            busy[0] = self._busy_time
-            busy[1:] = duration
-            self._busy_time = float(np.cumsum(busy)[-1])
+            self._busy_time = chain_last(self._busy_time, (duration,), count)
             self._reservations += count
 
     @property

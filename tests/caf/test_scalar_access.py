@@ -132,3 +132,26 @@ def test_invalid_scalar_access_raises_todays_errors(explicit):
         return True
 
     assert all(caf.launch(kernel, num_images=2))
+
+
+def test_bool_subscript_is_not_an_index():
+    """``True`` is an ``int`` subclass but not an element index: NumPy
+    reads ``a[True]`` as a mask (shape ``(1, 4)`` here), so a co-indexed
+    access must not quietly take element/row 1 of the target."""
+
+    def kernel():
+        me, n = caf.this_image(), caf.num_images()
+        nxt = me % n + 1
+        a = caf.coarray((4,), np.int64)
+        b = caf.coarray((2, 4), np.int64)
+        caf.sync_all()
+        assert a.local[True].shape == (1, 4)
+        for arr, key in ((a, True), (a, np.bool_(False)), (b, True), (b, (True, 0))):
+            with pytest.raises(TypeError):
+                arr.on(nxt)[key]
+            with pytest.raises(TypeError):
+                arr.on(nxt)[key] = 1
+        caf.sync_all()
+        return True
+
+    assert all(caf.launch(kernel, num_images=2))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.caf.rma import build_spec
 from repro.caf.strided import (
     ALGORITHMS,
     DimSel,
+    estimate_plan_cost,
     make_plan,
     normalize_selection,
     plan_2dim,
@@ -18,6 +20,7 @@ from repro.caf.strided import (
     plan_naive,
     selection_offsets,
 )
+from repro.sim.netmodel import CRAY_SHMEM, NetworkModel
 
 
 def sels_for(shape, key):
@@ -64,6 +67,10 @@ def test_normalize_rejects():
         normalize_selection((4,), ("x",))
     with pytest.raises(IndexError):
         normalize_selection((4, 4), (Ellipsis, Ellipsis))
+    # bool is an int subclass, but NumPy treats it as a mask, not an index
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError):
+            normalize_selection((2, 4), (flag,))
 
 
 def test_clamped_slices():
@@ -288,3 +295,59 @@ def test_run_plans_preserve_c_order(data):
     plan = make_plan(sels, shape, "naive", iput_native=False)
     got = plan_offsets(plan, sels)
     assert got.tolist() == oracle.tolist()
+
+
+MODEL_PARAMS = {
+    "elem_size": 8,
+    "o_call_us": 0.2,
+    "bandwidth_Bpus": 9700.0,
+    "gap_fn": lambda es, sb: NetworkModel._gather_gap(CRAY_SHMEM, es, sb),
+}
+
+
+def per_line_cost(plan, *, elem_size, o_call_us, bandwidth_Bpus, iput_native, gap_fn):
+    """``estimate_plan_cost`` as a loop over the per-call view."""
+    wire = plan.total_elems * elem_size / bandwidth_Bpus
+    if plan.lines:
+        if not iput_native:
+            return plan.total_elems * o_call_us + wire
+        cost = len(plan.lines) * o_call_us + wire
+        for line in plan.lines:
+            cost += line.count * gap_fn(elem_size, line.stride * elem_size)
+        return cost
+    return len(plan.runs) * o_call_us + wire
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=shape_and_key(), native=st.booleans())
+def test_array_plans_are_the_per_call_plans(data, native):
+    """Every planner's offsets array is the per-call plan: read-only
+    int64 (a cached plan is shared by every PE thread), compiled by
+    ``build_spec`` into the same element order, priced identically."""
+    shape, key = data
+    sels, _ = normalize_selection(shape, key)
+    algos = [a for a in ALGORITHMS if a != "contiguous"]
+    if plan_contiguous(sels, shape) is not None:
+        algos.append("contiguous")
+    for algo in algos:
+        plan = make_plan(sels, shape, algo, iput_native=native, model_params=MODEL_PARAMS)
+        assert plan.offsets.dtype == np.int64
+        assert not plan.offsets.flags.writeable
+        assert plan.num_calls == len(plan.runs) + len(plan.lines)
+        spec = build_spec(plan, 8)
+        want = plan_offsets(plan, sels)
+        if spec is None:
+            assert want.size == 0
+        else:
+            assert spec.rel_elem.tolist() == want.tolist()
+        got = estimate_plan_cost(plan, iput_native=native, **MODEL_PARAMS)
+        assert got.hex() == per_line_cost(plan, iput_native=native, **MODEL_PARAMS).hex()
+
+
+@pytest.mark.parametrize("algo", ["naive", "2dim", "alldim", "lastdim", "matrix", "model"])
+def test_paper_example_cost_is_the_per_line_sum(algo):
+    """Thousands of lines: the closed-form sum is still the loop's."""
+    sels = sels_for(PAPER_SHAPE, PAPER_KEY)
+    plan = make_plan(sels, PAPER_SHAPE, algo, iput_native=True, model_params=MODEL_PARAMS)
+    got = estimate_plan_cost(plan, iput_native=True, **MODEL_PARAMS)
+    assert got.hex() == per_line_cost(plan, iput_native=True, **MODEL_PARAMS).hex()

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import caf
@@ -104,6 +104,7 @@ class TestGenerator:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), s=st.floats(0.4, 1.6))
+    @example(seed=509, s=0.921875)  # z = 4.12 at one rank: failed a 4-sigma envelope
     def test_zipf_rank_frequency(self, seed, s):
         keyspace = 16
         spec = WorkloadSpec(ops=6000, keyspace=keyspace, zipf_s=s,
@@ -114,8 +115,11 @@ class TestGenerator:
         emp = freq / len(stream)
         cdf = zipf_cdf(keyspace, s)
         theory = np.diff(cdf, prepend=0.0)
-        # ~4-sigma binomial envelope per rank.
-        tol = 4.0 * np.sqrt(theory * (1 - theory) / len(stream)) + 1e-9
+        # Binomial envelope per rank, z set by a false-failure budget: a
+        # run makes 16 ranks x 10 examples = 160 two-sided checks, and
+        # Bonferroni gives 160 * P(|Z| > 5.5) ~ 6e-6 per run (normal
+        # approximation).  A 4-sigma envelope failed about 1 run in 100.
+        tol = 5.5 * np.sqrt(theory * (1 - theory) / len(stream)) + 1e-9
         assert np.all(np.abs(emp - theory) <= tol)
         # The skew must actually be monotone on average: hottest rank
         # drawn at least as often as the coldest, strictly for real skew.

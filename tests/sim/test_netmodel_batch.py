@@ -8,12 +8,16 @@ the last ULP, since float addition is not associative and the virtual
 timestamps downstream are compared bitwise.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.machines import MACHINES
 from repro.sim.netmodel import NetworkModel, get_conduit
-from repro.sim.resources import Timeline, _chain_starts
+from repro.sim.resources import Timeline, _chain_starts, chain_last
 from repro.sim.topology import Topology
 
 NOW = 3.7254101001  # deliberately un-round starting clock
@@ -74,7 +78,7 @@ def seq_iget(model, src, dst, nelems, elem_size, count, conduit, now, stride_byt
 
 # PEs 0 and 1 share node 0; PE 20 lives on node 1 (16 cores/node).
 PAIRS = {"intra": (0, 1), "inter": (0, 20)}
-COUNTS = [1, 2, 7, 50]
+COUNTS = [1, 2, 3, 7, 50]
 CONDUITS = ["cray-shmem", "mvapich2x-shmem", "gasnet", "mpi3"]
 
 
@@ -224,6 +228,41 @@ def test_chain_starts_random_fuzz():
             out[i] = s
             f = s + duration
         assert np.array_equal(got, out)
+
+
+@st.composite
+def chains(draw):
+    """A start, a period of 1-4 deltas and a period count, with starts
+    and deltas aimed at the cases the closed form must get right."""
+    x = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),  # subnormal
+        st.integers(-1070, 60).map(lambda k: math.nextafter(2.0**k, 0.0)),
+        st.floats(min_value=0.0, max_value=1e6),
+    ))
+    ulp = math.ulp(x) if x > 0.0 else 5e-324
+    delta = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=0.499).map(lambda f: f * ulp),  # < half ulp
+        st.integers(0, 8).map(lambda k: (k + 0.5) * ulp),  # exact half-ulp tie
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    deltas = tuple(draw(st.lists(delta, min_size=1, max_size=4)))
+    return x, deltas, draw(st.integers(0, 10**4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=chains())
+@example(case=(0.0, (0.1,), 10**4))  # a fresh timeline's busy time
+@example(case=(1.0, (2.0**-53,), 10**3))  # a tie at every step
+@example(case=(math.nextafter(4.0, 0.0), (0.3, 1e-17), 10**4))  # starts at a binade top
+def test_chain_last_is_cumsum(case):
+    x, deltas, n = case
+    seq = np.empty(1 + len(deltas) * n, dtype=np.float64)
+    seq[0] = x
+    seq[1:] = np.tile(np.asarray(deltas, dtype=np.float64), n)
+    want = float(np.cumsum(seq)[-1])
+    assert chain_last(x, deltas, n).hex() == want.hex()
 
 
 def test_reserve_batch_empty():
