@@ -14,14 +14,19 @@ the interface, and:
   driving step programs, written as generators
   (:mod:`repro.engine.steps`); weak-scales to thousands of PEs.
 
+The two deterministic engines park PEs in one core,
+:mod:`repro.engine.sched`: one wait model, one counter set, and one
+bounded :class:`DeadlockError` report.
+
 Select with ``Job(..., engine="event")`` / ``run_spmd(..., engine=...)``
 or by passing an instance (``engine=Scheduler(RandomWalk(7))``).
 """
 
 from repro.engine.base import Engine, EngineError, WouldBlock, resolve_engine
 from repro.engine.cooperative import CooperativeEngine
-from repro.engine.event import EventDeadlock, EventEngine
+from repro.engine.event import EventEngine
 from repro.engine.pool import WorkerPool, shared_pool
+from repro.engine.sched import DeadlockError
 from repro.engine.steps import (
     BarrierStep,
     DelayStep,
@@ -38,11 +43,11 @@ from repro.engine.threaded import ThreadedEngine
 __all__ = [
     "BarrierStep",
     "CooperativeEngine",
+    "DeadlockError",
     "DelayStep",
     "Done",
     "Engine",
     "EngineError",
-    "EventDeadlock",
     "EventEngine",
     "Step",
     "ThreadedEngine",

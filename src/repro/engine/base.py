@@ -136,8 +136,8 @@ class Engine:
 
     # ------------------------------------------------------------------
     def make_memories(self, num_pes: int, heap_bytes: int) -> list:
-        """The job's per-PE memories (the event engine substitutes a
-        lock-free subclass)."""
+        """The job's per-PE memories (the deterministic engines substitute
+        memories whose lock is a :class:`~repro.engine.sched.WakeHook`)."""
         from repro.runtime.memory import PEMemory
 
         return [PEMemory(heap_bytes) for _ in range(num_pes)]

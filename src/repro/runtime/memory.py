@@ -45,7 +45,8 @@ class PEMemory:
 
     def _make_cond(self):
         """The lock/notify object; the one hook a subclass overrides
-        (the event engine's memories substitute a notify sink)."""
+        (the deterministic engines substitute a ``WakeHook``, see
+        :mod:`repro.engine.sched`)."""
         return threading.Condition()
 
     def _note_write(self, timestamp: float) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import DelayStep, Done, WaitStep, WouldBlock, drive
-from repro.engine.event import EventDeadlock
+from repro.engine import DeadlockError
 from repro.engine.steps import BarrierStep, alloc_array_step
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobFailure
@@ -82,7 +82,7 @@ def test_unreleasable_barrier_is_deadlock():
             return Done("skipped the barrier")
         return BarrierStep(layer, lambda: Done("released"))
 
-    with pytest.raises(EventDeadlock, match=r"PE\(s\) \[1, 2\]"):
+    with pytest.raises(DeadlockError, match=r"PE\(s\) \[1, 2\]"):
         job.run(body)
 
 

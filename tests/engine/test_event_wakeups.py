@@ -9,7 +9,7 @@ import pytest
 
 from repro.collectives import team_reduce_step
 from repro.engine import DelayStep, Done, WaitStep
-from repro.engine.event import EventDeadlock
+from repro.engine import DeadlockError
 from repro.engine.steps import BarrierStep, alloc_array_step
 from repro.runtime.context import current
 from repro.runtime.failures import ImageFailedError
@@ -77,8 +77,9 @@ def test_every_mutation_path_wakes_a_parked_waiter(path, word):
     stamped = not word or path == "atomic_rmw_timed"
     assert t_woken == (STAMP if stamped else t_parked)
     stats = job.engine.stats
-    assert (stats["parks"], stats["wakes"], stats["dirty"]) == (1, 1, 1)
-    assert stats["polls"] == 2  # the probe that parked it + one re-poll
+    # The alloc barrier parks PE 0 once; the value wait parks PE 1 once.
+    assert (stats["parks"], stats["wakes"], stats["dirty"]) == (2, 2, 1)
+    assert stats["polls"] == 3  # the probes that parked them + one re-poll
     # Same values as a thread blocked in wait_until.
     assert _wake_once("threaded", MUTATIONS[path], word)[1] == results
 
@@ -168,7 +169,7 @@ def test_waiters_satisfied_by_failure_hook_resume_normally():
     results = job.run(body)
     assert results == [None, (7, STAMP), (7, STAMP)]
     assert job.failed.failed_pes() == (0,)
-    assert job.engine.stats["parks"] == 2
+    assert job.engine.stats["parks"] == 4  # 2 at the alloc barrier, 2 waits
 
 
 def test_deadlock_report_names_what_each_pe_waits_on():
@@ -187,7 +188,7 @@ def test_deadlock_report_names_what_each_pe_waits_on():
 
         return alloc_array_step(layer, (1,), np.int64, ready)
 
-    with pytest.raises(EventDeadlock) as exc_info:
+    with pytest.raises(DeadlockError) as exc_info:
         job.run(body)
     head, *lines = str(exc_info.value).split("\n")
     assert "PE(s) [1, 2]" in head
