@@ -84,13 +84,15 @@ def fig8_kernel(acquires: int) -> float:
     return ctx.clock.now - t0
 
 
-def run_fig8(images: int, acquires: int) -> tuple[Scheduler, float]:
-    """One Fig 8 cell under ``VirtualTimeOrder``; returns the engine
-    (trace, stats) and the elapsed virtual microseconds."""
-    sched = Scheduler(VirtualTimeOrder())
+def run_fig8(images: int, acquires: int, config=UHCAF_CRAY_SHMEM,
+             sched: Scheduler | None = None) -> tuple[Scheduler, float]:
+    """One Fig 8 cell on Titan, by default UHCAF-Cray-SHMEM under
+    ``VirtualTimeOrder``; returns the engine (trace, stats) and the
+    elapsed virtual microseconds."""
+    sched = Scheduler(VirtualTimeOrder()) if sched is None else sched
     results = caf.launch(
         fig8_kernel, images, "titan", engine=sched, args=(acquires,),
-        **UHCAF_CRAY_SHMEM.launch_kwargs(),
+        **config.launch_kwargs(),
     )
     return sched, max(results)
 
