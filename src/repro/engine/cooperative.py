@@ -10,9 +10,11 @@ delivery queue (:meth:`deposit`), ``quiet`` flushes it (:meth:`drain`),
 atomics bypass it.  Choice tokens, built once per PE at bind: ``p<i>``
 runs PE *i* to its next decision point, ``n<i>`` delivers initiator
 *i*'s oldest put; the choice list is the runnable ``p`` tokens, then
-the pending ``n`` tokens, each in ascending PE order.  A blocked task
-waits in the :class:`~repro.engine.sched.ParkCore` shared with the
-event engine until its wake source fires and its predicate holds.
+the pending ``n`` tokens, each in ascending PE order.  Under
+``VirtualTimeOrder`` no list is built: its pick comes off a ``(clock,
+PE)`` heap of the runnable PEs.  A blocked task waits in the
+:class:`~repro.engine.sched.ParkCore` shared with the event engine
+until its wake source fires and its predicate holds.
 
 :mod:`repro.explore` re-exports the class as ``Scheduler``; this module
 must not import that package (its ``__init__`` pulls in ``caf``).
@@ -22,17 +24,19 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
 from typing import Callable
 
-from repro.engine.base import Engine
-from repro.engine.sched import DeadlockError, ParkCore, value_or_failed
+from repro.engine.base import Engine, EngineError
+from repro.engine.sched import ParkCore, value_or_failed
 from repro.engine.threaded import ThreadRunMixin
 from repro.runtime.failures import raise_image_failed
 from repro.runtime.launcher import JobAborted
 
-#: Step ceiling per schedule: far above any explore program, low enough
-#: that a livelocked schedule fails fast instead of spinning forever.
+#: Step ceiling per schedule up to 64 PEs, and per 64 PEs above that
+#: (the default ``max_steps``): far above any explore program, low
+#: enough that a livelocked schedule fails fast instead of spinning.
 DEFAULT_MAX_STEPS = 100_000
 
 
@@ -56,10 +60,11 @@ class CooperativeEngine(ThreadRunMixin, Engine):
     #: Puts become separately-schedulable deliveries (weak completion).
     eager_delivery = False
 
-    def __init__(self, strategy, *, max_steps: int = DEFAULT_MAX_STEPS) -> None:
+    def __init__(self, strategy, *, max_steps: int | None = None) -> None:
         super().__init__()
         self.strategy = strategy
-        self.max_steps = int(max_steps)
+        #: None until :meth:`bind` scales the default with the PE count.
+        self.max_steps = None if max_steps is None else int(max_steps)
         self.trace: list[str] = []
         self.steps = 0
         self.done = False
@@ -81,6 +86,16 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         super().bind(job)
         self.strategy.bind_job(job)  # clock-aware strategies read PE clocks
         n = self.num_pes = job.num_pes
+        if self.max_steps is None:
+            self.max_steps = DEFAULT_MAX_STEPS * max(n, 64) // 64
+        from repro.explore.scheduler import VirtualTimeOrder  # late: it imports this module
+
+        # A subclass may override choose, so only the class itself gets the heap.
+        vt = type(self.strategy) is VirtualTimeOrder
+        if vt:
+            self._pick = self._pick_vt
+        self._pending: list[int] | None = [] if vt else None  # initiators, a lazy min-heap
+        self._cur: int | None = None  # the PE whose turn it is
         self._events = [threading.Event() for _ in range(n)]
         self._queues = [deque() for _ in range(n)]
         self._ptok = [f"p{t}" for t in range(n)]
@@ -111,7 +126,10 @@ class CooperativeEngine(ThreadRunMixin, Engine):
     # -- delivery -------------------------------------------------------
     def deposit(self, ctx, deliver: Callable[[], None]) -> None:
         """Enqueue a put's target-side deposit for later delivery."""
-        self._queues[ctx.pe].append(deliver)
+        q = self._queues[ctx.pe]
+        if not q and self._pending is not None:
+            heappush(self._pending, ctx.pe)
+        q.append(deliver)
 
     def drain(self, ctx) -> None:
         """``quiet``: deliver every pending put of ``ctx.pe``, in order."""
@@ -160,8 +178,13 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             raise RuntimeError("this engine's job already ran; it is one-shot")
         with self._lock:
             self._registered.add(pe)
-            if len(self._registered) == self.num_pes and self._switch(pe):
-                return
+            if len(self._registered) == self.num_pes:
+                # Every context exists now; nobody holds the turn yet.
+                self._clocks = [self.job.pe_contexts[p].clock for p in range(self.num_pes)]
+                self._ready = [(c.now, p) for p, c in enumerate(self._clocks)]
+                heapify(self._ready)
+                if self._switch(pe):
+                    return
         self._await_turn(pe)
 
     def _task_exit(self, pe: int) -> None:
@@ -190,7 +213,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 return
             try:
                 self._switch(pe)
-            except (DeadlockError, ScheduleLimitError) as exc:
+            except (EngineError, ScheduleLimitError) as exc:
                 self.failure = (pe, exc)
                 self.job.abort()
                 self._wake_all()
@@ -231,26 +254,32 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             self._events[nxt].set()
         return False
 
+    def _choices(self) -> list[str]:
+        return [*compress(self._ptok, self._runnable), *compress(self._ntok, self._queues)]
+
+    def _stop(self, choices: list[str]) -> None:
+        """No choice left (None: every task finished) or no step left."""
+        if not choices:
+            if len(self._finished) == self.num_pes:
+                return None
+            raise self._core.deadlock(
+                f"deadlock after {self.steps} steps: no runnable task, no pending "
+                f"delivery ({len(self._finished)}/{self.num_pes} PEs finished)",
+                self.job.failed.failed_pes())
+        raise ScheduleLimitError(
+            f"schedule exceeded {self.max_steps} steps "
+            f"(livelocked spin loop?); {_summary(choices)}"
+        )
+
     def _pick(self) -> int | None:
         """Pick the next PE to run (lock held), executing chosen deliveries
         inline; None when every task has finished."""
         while True:
             for pe in self._core.ready():
                 self._runnable[pe] = True
-            choices = [*compress(self._ptok, self._runnable),
-                       *compress(self._ntok, self._queues)]
-            if not choices:
-                if len(self._finished) == self.num_pes:
-                    return None
-                raise self._core.deadlock(
-                    f"deadlock after {self.steps} steps: no runnable task, no pending "
-                    f"delivery ({len(self._finished)}/{self.num_pes} PEs finished)",
-                    self.job.failed.failed_pes())
-            if self.steps >= self.max_steps:
-                raise ScheduleLimitError(
-                    f"schedule exceeded {self.max_steps} steps "
-                    f"(livelocked spin loop?); {_summary(choices)}"
-                )
+            choices = self._choices()
+            if not choices or self.steps >= self.max_steps:
+                return self._stop(choices)
             token = self.strategy.choose(self.steps, choices)
             if token not in choices:
                 raise RuntimeError(
@@ -264,6 +293,44 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 self._queues[int(token[1:])].popleft()()
                 continue
             return int(token[1:])
+
+    def _pick_vt(self) -> int | None:
+        """:meth:`_pick` under ``VirtualTimeOrder``, same tokens, no choice
+        list: the lowest pending initiator's delivery, else the least
+        ``(clock, PE)`` of the turn holder and the ready heap (the other
+        runnable PEs, keyed when queued: only a running PE moves its clock)."""
+        ready, clocks, queues, pending = self._ready, self._clocks, self._queues, self._pending
+        cur = self._cur if self._cur is not None and self._runnable[self._cur] else None
+        while True:
+            for pe in self._core.ready():
+                self._runnable[pe] = True
+                heappush(ready, (clocks[pe].now, pe))
+            while pending and not queues[pending[0]]:
+                heappop(pending)  # emptied by a quiet
+            if not (ready or pending or cur is not None) or self.steps >= self.max_steps:
+                return self._stop(self._choices())
+            self.steps += 1
+            if pending:
+                self.trace.append(self._ntok[pending[0]])
+                self._counts["deliveries"] += 1
+                queues[pending[0]].popleft()()
+                continue
+            if cur is not None:
+                key = (clocks[cur].now, cur)
+                if not ready or key < ready[0]:
+                    self.trace.append(self._ptok[cur])
+                    return cur
+                key = heapreplace(ready, key)
+            else:
+                key = heappop(ready)
+            now, pe = key
+            if clocks[pe].now != now:
+                raise EngineError(
+                    f"PE {pe} was queued at virtual time {now!r} but its clock reads "
+                    f"{clocks[pe].now!r}: another PE moved it")
+            self._cur = pe
+            self.trace.append(self._ptok[pe])
+            return pe
 
     def _wake_all(self) -> None:
         for ev in self._events:

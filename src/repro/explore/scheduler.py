@@ -20,9 +20,9 @@ from typing import Any
 from repro.engine.cooperative import (  # noqa: F401 - re-exported
     DEFAULT_MAX_STEPS,
     CooperativeEngine as Scheduler,
-    DeadlockError,
     ScheduleLimitError,
 )
+from repro.engine.sched import DeadlockError  # noqa: F401 - re-exported
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,11 @@ class VirtualTimeOrder(Strategy):
     deterministic by construction, without a seed.  Livelock-free
     because every scheduled quantum prices at least one operation on
     the chosen PE, advancing its clock.
+
+    The engine never asks this class: it takes the same pick off a
+    ``(clock, PE)`` heap without building a choice list (docs/MODEL.md
+    §9).  ``choose`` is the order's definition, which a subclass gets
+    offered the list through.
     """
 
     name = "vt"
