@@ -8,7 +8,10 @@ holds what the direct methods returned — ``float.hex()`` of every
 result and the final state of every resource timeline — *before* they
 became delegations (written by ``gen_golden_prices.py``), so a pricer
 that drifts by one ULP, or leaves a timeline in a different state,
-fails here.
+fails here.  The grid was later widened (every conduit's put/get/amo,
+``dmapp-caf`` strided and batch cases, non-native batch puts/gets, a
+batch with ``stride_bytes=None``) and those records were written by the
+direct methods before the send and fetch closures were merged.
 """
 
 import json
@@ -24,7 +27,7 @@ NOW = 7.91287310001  # deliberately un-round starting clock
 GOLDEN_PATH = Path(__file__).with_name("golden_prices.json")
 
 PAIRS = [(0, 1), (0, 17), (20, 40)]  # same-node and two inter-node pairs
-CONDUITS = ["cray-shmem", "gasnet", "mpi3"]
+CONDUITS = ["cray-shmem", "gasnet", "mpi3", "mvapich2x-shmem", "cray-mpich", "dmapp-caf"]
 SIZES = [1, 8, 4096, 100_000]
 STRIDES = [8, 256, None]
 COUNTS = [1, 2, 50]
@@ -34,6 +37,16 @@ BATCH_OPS = [
     ("get", {"nbytes": 64}),
     ("iput", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
     ("iget", {"nelems": 25, "elem_size": 8, "stride_bytes": 160}),
+]
+NATIVE_EXTRA = "dmapp-caf"  # Cray-CAF's native conduit: strided + batch grid
+#: Batch cases beyond cray-shmem's, keyed with their conduit.
+EXTRA_BATCH_OPS = [(NATIVE_EXTRA, op, kw) for op, kw in BATCH_OPS] + [
+    ("mvapich2x-shmem", "put", {"nbytes": 8}),  # non-native, eager
+    ("mvapich2x-shmem", "put", {"nbytes": 100_000}),  # non-native, rendezvous
+    ("mvapich2x-shmem", "get", {"nbytes": 8}),
+    ("mvapich2x-shmem", "get", {"nbytes": 100_000}),
+    ("cray-shmem", "iput", {"nelems": 25, "elem_size": 8, "stride_bytes": None}),
+    ("cray-shmem", "iget", {"nelems": 25, "elem_size": 8, "stride_bytes": None}),
 ]
 
 
@@ -104,8 +117,8 @@ def put_get_case(price, src, dst, conduit_name, nbytes):
     return _record(model, out)
 
 
-def strided_case(price, src, dst, stride_bytes):
-    conduit, model, now, out = get_conduit("cray-shmem"), fresh_model(), NOW, []
+def strided_case(price, src, dst, stride_bytes, conduit_name="cray-shmem"):
+    conduit, model, now, out = get_conduit(conduit_name), fresh_model(), NOW, []
     for nelems in (1, 7, 400):
         kw = dict(nelems=nelems, elem_size=8, stride_bytes=stride_bytes)
         timing = price(model, "iput", src, dst, conduit, now, **kw)
@@ -124,9 +137,9 @@ def amo_case(price, src, dst, conduit_name):
     return _record(model, out)
 
 
-def batch_case(price, src, dst, count, op, kw):
+def batch_case(price, src, dst, count, op, kw, conduit_name="cray-shmem"):
     model = fresh_model()
-    conduit = get_conduit("cray-shmem")
+    conduit = get_conduit(conduit_name)
     return _record(model, [price(model, op, src, dst, conduit, NOW, count=count, **kw)])
 
 
@@ -134,7 +147,7 @@ def golden_table(price):
     """Every grid point's record, keyed the way the tests look it up."""
     table = {}
     for src, dst in PAIRS:
-        for c in CONDUITS:
+        for c in CONDUITS[:3]:
             for n in SIZES:
                 table[f"put_get/{src}-{dst}/{c}/{n}"] = put_get_case(price, src, dst, c, n)
             table[f"amo/{src}-{dst}/{c}"] = amo_case(price, src, dst, c)
@@ -144,6 +157,21 @@ def golden_table(price):
             for i, (op, kw) in enumerate(BATCH_OPS):
                 table[f"batch/{src}-{dst}/{count}/{op}{i}"] = batch_case(
                     price, src, dst, count, op, kw
+                )
+    # The widened grid, appended so the original records keep their place.
+    for src, dst in PAIRS:
+        for c in CONDUITS[3:]:
+            for n in SIZES:
+                table[f"put_get/{src}-{dst}/{c}/{n}"] = put_get_case(price, src, dst, c, n)
+            table[f"amo/{src}-{dst}/{c}"] = amo_case(price, src, dst, c)
+        for s in STRIDES:
+            table[f"strided/{src}-{dst}/{s}/{NATIVE_EXTRA}"] = strided_case(
+                price, src, dst, s, NATIVE_EXTRA
+            )
+        for count in COUNTS:
+            for i, (c, op, kw) in enumerate(EXTRA_BATCH_OPS):
+                table[f"batch/{src}-{dst}/{count}/{c}/{op}{i}"] = batch_case(
+                    price, src, dst, count, op, kw, c
                 )
     return table
 
@@ -196,6 +224,22 @@ def test_batch_pricer_bitwise(golden, src, dst, count, op, kw):
     i = BATCH_OPS.index((op, kw))
     got = batch_case(price_pricer, src, dst, count, op, kw)
     assert got == golden[f"batch/{src}-{dst}/{count}/{op}{i}"]
+
+
+@pytest.mark.parametrize("src,dst", PAIRS)
+@pytest.mark.parametrize("stride_bytes", STRIDES)
+def test_strided_pricers_bitwise_native_extra(golden, src, dst, stride_bytes):
+    got = strided_case(price_pricer, src, dst, stride_bytes, NATIVE_EXTRA)
+    assert got == golden[f"strided/{src}-{dst}/{stride_bytes}/{NATIVE_EXTRA}"]
+
+
+@pytest.mark.parametrize("src,dst", PAIRS)
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("i", range(len(EXTRA_BATCH_OPS)))
+def test_extra_batch_pricer_bitwise(golden, src, dst, count, i):
+    c, op, kw = EXTRA_BATCH_OPS[i]
+    got = batch_case(price_pricer, src, dst, count, op, kw, c)
+    assert got == golden[f"batch/{src}-{dst}/{count}/{c}/{op}{i}"]
 
 
 def test_direct_methods_are_views_of_the_pricers(golden):
