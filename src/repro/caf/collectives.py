@@ -13,7 +13,7 @@ The heavy lifting lives in :mod:`repro.collectives`: the runtime maps
 the current team onto a :class:`~repro.collectives.comm.TeamComm` and
 the algorithm (binomial tree, recursive doubling, ring, hierarchical
 two-level, or flat linear) is chosen per call by the topology-aware
-cost model — or forced via ``REPRO_COLLECTIVE``.
+cost model.
 
 ``co_sum(a)`` leaves the result on every image; ``co_sum(a,
 result_image=j)`` only guarantees it on image ``j`` (other images'

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from repro.caf.runtime import CafError, CafRuntime
 from repro.comm.constants import CMP_EQ, CMP_NE
 from repro.runtime.context import current
 from repro.runtime.failures import ImageFailedError
-from repro.runtime.launcher import JobAborted
 from repro.util.bitpack import NIL, pack_remote_pointer, unpack_remote_pointer
 
 #: qnode layout in the managed heap: two 8-byte words.
@@ -61,8 +59,6 @@ _RESCUE_DEADLINE_S = 2.0
 
 _TAS_BACKOFF_START_US = 0.4
 _TAS_BACKOFF_MAX_US = 204.8
-
-_UNTRACED = nullcontext()  # what _machinery() returns without a tracer
 
 
 class LockError(CafError):
@@ -172,36 +168,6 @@ def _held_key(lck: CafLock, image: int, flat: int) -> tuple[int, int, int]:
     return (lck.lock_id, image, flat)
 
 
-def _machinery(rt: CafRuntime):
-    """Context marking traced operations as lock-protocol machinery.
-
-    The tail swaps, link puts, and handoff traffic synchronize *through*
-    the lock word; the sanitizer must not treat them as user data
-    conflicts.  Quiets issued inside remain quiesce points.
-    """
-    tracer = rt.job.tracer
-    return tracer.sync_internal() if tracer is not None else _UNTRACED
-
-
-def _record_lock(rt, op, tag, target_pe, t_start, lck, image, flat) -> None:
-    """Emit a ``lock_acquire``/``lock_release`` sync record (sync-capture
-    mode only) carrying the lock identity and the global acquisition
-    ticket, which the sanitizer chains into release->acquire edges."""
-    tracer = rt.job.tracer
-    if tracer is None or not tracer.capture_sync:
-        return
-    ctx = current()
-    hold_key = ("caf", lck.lock_id, image, flat)
-    if op == "lock_acquire":
-        ticket = tracer.begin_hold(hold_key, ctx.pe)
-    else:
-        ticket = tracer.end_hold(hold_key, ctx.pe)
-    tracer.record(
-        ctx.pe, op, target_pe, 0, t_start, ctx.clock.now,
-        meta=(tag, lck.lock_id, image, flat, ticket), internal=False,
-    )
-
-
 def _mcs_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
     ctx = current()
     me_pe = ctx.pe
@@ -214,7 +180,7 @@ def _mcs_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
             f"image {me_image} already holds lock {lck.lock_id}[{flat}] at image {image}"
         )
     t_start = ctx.clock.now
-    with _machinery(rt):
+    with rt.layer.lock_machinery():
         # Allocate and initialize my qnode (locked=1, next=NIL).  The init
         # goes through the notifying write path because remote PEs will
         # later read/overwrite these words.
@@ -251,7 +217,7 @@ def _mcs_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
                     raise
     held[key] = (qoff, lck, target_pe)
     rt._stats[me_pe]["lock_acquires"] += 1
-    _record_lock(rt, "lock_acquire", "la", target_pe, t_start, lck, image, flat)
+    rt.layer.record_hold(True, target_pe, t_start, key)
 
 
 def _mcs_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
@@ -272,7 +238,7 @@ def _mcs_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
     # Writes from the critical section must be remotely complete before
     # the lock is visibly released.
     rt.layer.quiet()
-    with _machinery(rt):
+    with rt.layer.lock_machinery():
         old = int(rt.layer.atomic(lck.handle, target_pe, flat, "cswap", NIL, my_ptr))
         if old != my_ptr:
             # A successor swung the tail past me; wait for it to link itself.
@@ -296,7 +262,7 @@ def _mcs_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
             rt.layer.quiet()
     rt.managed_free(me_pe, qoff)
     rt._stats[me_pe]["lock_releases"] += 1
-    _record_lock(rt, "lock_release", "lr", target_pe, t_start, lck, image, flat)
+    rt.layer.record_hold(False, target_pe, t_start, key)
 
 
 def _rescue_dead_pred(rt: CafRuntime, p, qoff: int) -> bool:
@@ -402,53 +368,21 @@ def force_release(rt: CafRuntime, pe: int, key, entry) -> None:
 
 def _tas_acquire(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
     ctx = current()
-    me_image = ctx.pe + 1
     target_pe = rt.image_to_pe(image)
     key = _held_key(lck, image, flat)
     held = rt._held[ctx.pe]
     if key in held:
         raise LockError(
-            f"image {me_image} already holds lock {lck.lock_id}[{flat}] at image {image}"
+            f"image {ctx.pe + 1} already holds lock {lck.lock_id}[{flat}] at image {image}"
         )
     t_start = ctx.clock.now
-    backoff = _TAS_BACKOFF_START_US
-    spin = rt.layer.engine.spin_yield
-    with _machinery(rt), rt.job.watchdog.watch(
-        ctx.pe, f"caf_lock[{flat}]@image{image} (tas acquire)"
-    ) as guard:
-        while True:
-            # Check abort *before* each attempt: an aborted job must exit
-            # promptly, not issue one more remote atomic first.
-            if rt.job.aborted():
-                raise JobAborted("job aborted while acquiring CAF lock")
-            guard.poll()
-            old = int(rt.layer.atomic(lck.handle, target_pe, flat, "cswap", me_image, NIL))
-            if old == NIL:
-                break
-            # F2018 11.6.11: a failed image's locks become unlocked.
-            # The crash handler force-releases the word; the keyed cswap
-            # here closes the window where the holder is marked failed
-            # but the release has not landed yet (steal from the dead).
-            holder_pe = old - 1
-            if (
-                rt.job.survivable
-                and 0 <= holder_pe < rt.job.num_pes
-                and rt.job.failed.is_failed(holder_pe)
-            ):
-                stolen = int(
-                    rt.layer.atomic(lck.handle, target_pe, flat, "cswap", me_image, old)
-                )
-                if stolen == old:
-                    break
-            ctx.clock.advance(backoff)
-            backoff = min(backoff * 2, _TAS_BACKOFF_MAX_US)
-            # Wall-clock yield on the threaded engine; cooperative spin
-            # yield under a scheduler so priority strategies can demote
-            # this spinner until the holder releases.
-            spin(ctx, "lock_spin", target_pe)
+    rt.layer.tas_acquire(
+        lck.handle, target_pe, flat, f"caf_lock[{flat}]@image{image} (tas acquire)",
+        _TAS_BACKOFF_START_US, _TAS_BACKOFF_MAX_US,
+    )
     held[key] = (-1, lck, target_pe)  # no qnode for TAS
     rt._stats[ctx.pe]["lock_acquires"] += 1
-    _record_lock(rt, "lock_acquire", "la", target_pe, t_start, lck, image, flat)
+    rt.layer.record_hold(True, target_pe, t_start, key)
 
 
 def _tas_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
@@ -456,18 +390,15 @@ def _tas_release(rt: CafRuntime, lck: CafLock, image: int, flat: int) -> None:
     me_image = ctx.pe + 1
     target_pe = rt.image_to_pe(image)
     key = _held_key(lck, image, flat)
-    held = rt._held[ctx.pe]
-    if held.pop(key, None) is None:
+    if rt._held[ctx.pe].pop(key, None) is None:
         raise LockError(
             f"image {me_image} does not hold lock {lck.lock_id}[{flat}] at image {image}"
         )
     t_start = ctx.clock.now
-    rt.layer.quiet()
-    with _machinery(rt):
-        old = int(rt.layer.atomic(lck.handle, target_pe, flat, "cswap", NIL, me_image))
+    old = rt.layer.tas_release(lck.handle, target_pe, flat)
     if old != me_image:
         raise LockError(
             f"lock word corrupted: expected holder {me_image}, found {old}"
         )
     rt._stats[ctx.pe]["lock_releases"] += 1
-    _record_lock(rt, "lock_release", "lr", target_pe, t_start, lck, image, flat)
+    rt.layer.record_hold(False, target_pe, t_start, key)

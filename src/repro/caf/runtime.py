@@ -247,14 +247,6 @@ class CafRuntime:
             return tuple(range(self.job.num_pes))
         return team.member_pes
 
-    def team_rank_of(self, pe: int) -> int:
-        """0-based rank of an absolute PE within the calling image's
-        current team (cached map; no linear member scan)."""
-        team = self._team[current().pe]
-        if team is None:
-            return pe
-        return team.rank_of(pe)
-
     def this_image(self) -> int:
         team = self._team[current().pe]
         if team is None:

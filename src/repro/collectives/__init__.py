@@ -13,8 +13,8 @@ engines and stays visible to the sanitizer.
 Selection is cost-model driven: each algorithm has a closed-form pricer
 (:meth:`repro.sim.netmodel.NetworkModel.collective_cost`) and
 :class:`AlgorithmSelector` picks per (payload, team size, team shape on
-the topology, machine profile).  ``REPRO_COLLECTIVE=<algo>`` or the
-per-call ``algorithm=`` parameter forces a fixed algorithm as an oracle.
+the topology, machine profile).  The per-call ``algorithm=`` parameter
+forces a fixed algorithm as an oracle.
 
 Public API
 ----------
@@ -28,7 +28,7 @@ Public API
   members, need_bytes)``) that looks up and joins a team's
   :class:`TeamComm`; the algorithms in
   :mod:`repro.collectives.algorithms` are generators over it
-* :data:`ALGORITHMS`, :class:`AlgorithmSelector`, :data:`FORCE_ENV`
+* :data:`ALGORITHMS`, :class:`AlgorithmSelector`
 """
 
 from repro.collectives.api import (
@@ -44,7 +44,6 @@ from repro.collectives.select import (
     ALGORITHMS,
     ALLGATHER_ALGORITHMS,
     BCAST_ALGORITHMS,
-    FORCE_ENV,
     REDUCE_ALGORITHMS,
     AlgorithmSelector,
     candidates_for,
@@ -55,7 +54,6 @@ __all__ = [
     "ALGORITHMS",
     "ALLGATHER_ALGORITHMS",
     "BCAST_ALGORITHMS",
-    "FORCE_ENV",
     "REDUCE_ALGORITHMS",
     "AlgorithmSelector",
     "TeamComm",

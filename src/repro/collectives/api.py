@@ -6,9 +6,9 @@ zero-size payload — no scratch, no synchronization), joins the team's
 :class:`~repro.collectives.comm.TeamComm`, stages the local contribution
 into the scratch accumulator, asks the
 :class:`~repro.collectives.select.AlgorithmSelector` which algorithm to
-run (honoring ``algorithm=`` and ``REPRO_COLLECTIVE``), runs it, reads
-the result, and takes ONE trailing team barrier — the only full-team
-synchronization in any collective.  The trailing barrier is what lets
+run (honoring ``algorithm=``), runs it, reads the result, and takes ONE
+trailing team barrier — the only full-team synchronization in any
+collective.  The trailing barrier is what lets
 the next collective (or the caller) reuse scratch and flag words: every
 post has been consumed and every remote read has completed before any
 member returns.

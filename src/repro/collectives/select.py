@@ -7,30 +7,23 @@ cheapest, memoizing per (kind, team size, team shape, payload) — the
 pricer is pure arithmetic, so the choice depends only on those and the
 machine/conduit profile, never on simulation state.
 
-Overrides (the "oracle" path for benchmarking and debugging):
-
-* per-call ``algorithm=`` parameter — strongest;
-* ``REPRO_COLLECTIVE=<algo>`` environment variable — read per call, so
-  tests can flip it between collectives;
-* otherwise cost-model argmin (ties break toward the earlier candidate).
+The per-call ``algorithm=`` parameter forces a fixed algorithm (the
+"oracle" path for benchmarking and debugging); otherwise the cost-model
+argmin runs (ties break toward the earlier candidate).
 
 A forced algorithm that exists but does not apply to the call — a
 non-commutative reduction forced to ``ring``, a broadcast forced to
 ``recdbl`` — falls back to the best generally-applicable candidate
-(``binomial`` when available) rather than erroring, so one environment
-setting can steer a whole run.  An unknown name raises ``ValueError``.
+(``binomial`` when available) rather than erroring, so one forced name
+can steer a whole sweep.  An unknown name raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import os
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.collectives.comm import TeamComm
-
-#: Environment variable forcing a fixed algorithm (oracle mode).
-FORCE_ENV = "REPRO_COLLECTIVE"
 
 #: Every algorithm the library implements.
 ALGORITHMS: tuple[str, ...] = ("linear", "binomial", "recdbl", "ring", "hier")
@@ -86,18 +79,18 @@ class AlgorithmSelector:
         commutative: bool = True,
         algorithm: str | None = None,
     ) -> str:
-        """The algorithm to run for this call (see module docstring for
-        the override precedence)."""
+        """The algorithm to run for this call: ``algorithm`` when given
+        (see the module docstring for its fallback), else the cost-model
+        argmin."""
         cands = candidates_for(kind, commutative)
-        forced = algorithm if algorithm is not None else os.environ.get(FORCE_ENV)
-        if forced:
-            if forced not in ALGORITHMS:
+        if algorithm:
+            if algorithm not in ALGORITHMS:
                 raise ValueError(
-                    f"unknown collective algorithm {forced!r}; "
+                    f"unknown collective algorithm {algorithm!r}; "
                     f"expected one of {sorted(ALGORITHMS)}"
                 )
-            if forced in cands:
-                return forced
+            if algorithm in cands:
+                return algorithm
             return "binomial" if "binomial" in cands else cands[0]
         key = (
             kind, comm.m, comm.nnodes, comm.max_per_node,

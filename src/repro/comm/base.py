@@ -23,16 +23,18 @@ observable through :meth:`quiet` (or a barrier, which includes one).
 from __future__ import annotations
 
 import operator as _operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.comm.heap import SymmetricArray
 from repro.runtime.context import current
-from repro.runtime.launcher import Job
+from repro.runtime.launcher import Job, JobAborted
 from repro.comm.constants import comparator
 from repro.sim.netmodel import ConduitProfile, get_conduit
 from repro.trace.events import contiguous_footprint
+from repro.util.bitpack import NIL
 
 #: How the initiator learns an attempt failed, per operation family:
 #: put-like operations observe the NACK at remote completion, get-like
@@ -48,6 +50,8 @@ def _fail_at_done(done: float) -> float:
 #: (uint8 plus :attr:`PEMemory._VIEW_DTYPES`); other sizes scatter
 #: through a byte-expanded index.
 _VIEWABLE_SIZES = frozenset((1, 2, 4, 8))
+
+_UNTRACED = nullcontext()  # what lock_machinery() returns without a tracer
 
 
 @dataclass(frozen=True, eq=False)
@@ -745,21 +749,22 @@ class OneSidedLayer:
         if self._failed is not None:
             self._check_failed(ctx, "atomic", pe)
         t_start = ctx.clock.now
+        # The memoized amo pricer also carries the causality constants
+        # (``proc``/``back``), which the uncontended form needs as well.
+        key = ("a", ctx.pe, pe)
+        entry = self._pricers.get(key)
+        if entry is None:
+            entry = self._remember(
+                key, self.job.network.amo_pricer(ctx.pe, pe, self.profile)
+            )
+        price, proc, back = entry
         if uncontended:
-            proc = back = None
 
             def price(now):
                 return self.job.network.amo_uncontended(
                     ctx.pe, pe, self.profile, now
                 )
-        else:
-            key = ("a", ctx.pe, pe)
-            entry = self._pricers.get(key)
-            if entry is None:
-                entry = self._remember(
-                    key, self.job.network.amo_pricer(ctx.pe, pe, self.profile)
-                )
-            price, proc, back = entry
+
         done = self._priced(ctx, self, "atomic", pe, price, _fail_at_done)
         fn = self._amo_fn(op, dtype, operands)
         old, prev_time, seq = self.job.memories[pe].atomic_rmw_timed(
@@ -772,18 +777,6 @@ class OneSidedLayer:
             # or CPU attentiveness + handler for AM-emulated atomics)
             # plus the return leg.  This is what gives lock handoff
             # chains their cost.
-            if proc is None:
-                m = self.job.machine
-                if self.job.topology.same_node(ctx.pe, pe):
-                    back = m.intra_latency_us
-                    proc = m.amo_process_us
-                else:
-                    back = m.link_latency_us
-                    proc = (
-                        m.amo_process_us
-                        if self.profile.amo_offload
-                        else m.am_attentiveness_us + m.cpu_am_process_us
-                    )
             done = max(done, prev_time + proc + back)
         ctx.clock.merge(done)
         tracer = self.job.tracer
@@ -829,6 +822,91 @@ class OneSidedLayer:
             bitop = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}[op]
             return lambda old: dtype.type(bitop(old, v))
         raise ValueError(f"unknown atomic op {op!r}")
+
+    # ------------------------------------------------------------------
+    # Lock protocol helpers
+    #
+    # One test-and-set protocol serves the Cray-CAF baseline lock and the
+    # OpenSHMEM global lock: the 8-byte word holds the holder's PE + 1
+    # and NIL (0) means free.  Acquire retries a cswap with exponential
+    # backoff and steals from a failed holder (F2018 11.6.11: a failed
+    # image's locks become unlocked) with a cswap keyed on the observed
+    # holder, which keeps the steal atomic against a racing survivor.
+    # ------------------------------------------------------------------
+    def lock_machinery(self):
+        """Context marking traced operations as lock-protocol machinery:
+        they synchronize *through* the lock word, so the sanitizer must
+        not treat them as user data conflicts.  Quiets issued inside
+        remain quiesce points."""
+        tracer = self.job.tracer
+        return tracer.sync_internal() if tracer is not None else _UNTRACED
+
+    def tas_acquire(
+        self, word: SymmetricArray, pe: int, offset: int, label: str,
+        backoff: float, backoff_max: float,
+    ) -> None:
+        """Spin until the calling PE holds ``word[offset]`` at ``pe``.
+
+        ``label`` names the wait for the hang watchdog; the virtual
+        backoff doubles from ``backoff`` up to ``backoff_max`` us.
+        """
+        ctx = current()
+        me, job, spin = ctx.pe + 1, self.job, self.engine.spin_yield
+        with self.lock_machinery(), job.watchdog.watch(ctx.pe, label) as guard:
+            while True:
+                # Check abort *before* each attempt: an aborted job must
+                # exit promptly, not issue one more remote atomic first.
+                if job.aborted():
+                    raise JobAborted(f"job aborted while acquiring {label}")
+                guard.poll()
+                old = int(self.atomic(word, pe, offset, "cswap", me, NIL))
+                if old == NIL:
+                    return
+                if self._failed is not None and self._failed.is_failed(old - 1):
+                    if int(self.atomic(word, pe, offset, "cswap", me, old)) == old:
+                        return
+                ctx.clock.advance(backoff)
+                backoff = min(backoff * 2, backoff_max)
+                # Wall-clock yield on the threaded engine; cooperative
+                # spin yield under a scheduler so priority strategies can
+                # demote this spinner until the holder releases.
+                spin(ctx, "lock_spin", pe)
+
+    def tas_try(self, word: SymmetricArray, pe: int, offset: int) -> bool:
+        """One acquisition attempt; True when the calling PE now holds
+        the word."""
+        with self.lock_machinery():
+            old = self.atomic(word, pe, offset, "cswap", current().pe + 1, NIL)
+        return int(old) == NIL
+
+    def tas_release(self, word: SymmetricArray, pe: int, offset: int) -> int:
+        """Quiet (critical-section writes complete before the release),
+        then free the word; returns the holder word found, which is the
+        caller's PE + 1 unless the caller did not hold the lock."""
+        me = current().pe + 1
+        self.quiet()
+        with self.lock_machinery():
+            return int(self.atomic(word, pe, offset, "cswap", NIL, me))
+
+    def record_hold(
+        self, acquire: bool, target: int, t_start: float, ident: tuple
+    ) -> None:
+        """Emit a ``lock_acquire``/``lock_release`` sync record
+        (sync-capture mode only) for the lock named by ``ident``,
+        carrying its global acquisition ticket, which the sanitizer
+        chains into release->acquire edges."""
+        tracer = self.job.tracer
+        if tracer is None or not tracer.capture_sync:
+            return
+        ctx = current()
+        if acquire:
+            op, tag, ticket = "lock_acquire", "la", tracer.begin_hold(ident, ctx.pe)
+        else:
+            op, tag, ticket = "lock_release", "lr", tracer.end_hold(ident, ctx.pe)
+        tracer.record(
+            ctx.pe, op, target, 0, t_start, ctx.clock.now,
+            meta=(tag, *ident, ticket), internal=False,
+        )
 
     # ------------------------------------------------------------------
     # Local reads

@@ -15,7 +15,6 @@ this subclass adds what is specifically OpenSHMEM:
 from __future__ import annotations
 
 import typing
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from repro.collectives import team_allgather, team_broadcast, team_reduce
 from repro.comm.base import OneSidedLayer
 from repro.comm.heap import SymmetricArray
 from repro.runtime.context import current
-from repro.runtime.launcher import Job, JobAborted
+from repro.runtime.launcher import Job
 from repro.sim.machines import CRAY_XC30, TITAN
 from repro.sim.netmodel import CRAY_SHMEM, MVAPICH2X_SHMEM, ConduitProfile
 
@@ -170,8 +169,7 @@ class ShmemLayer(OneSidedLayer):
     #
     # All four ride on :mod:`repro.collectives`: the algorithm (linear,
     # binomial, recursive doubling, ring, or hierarchical two-level) is
-    # chosen per call by the topology-aware cost model, or forced via
-    # ``REPRO_COLLECTIVE``.
+    # chosen per call by the topology-aware cost model.
     # ------------------------------------------------------------------
     def _all_pes(self) -> tuple[int, ...]:
         return tuple(range(self.job.num_pes))
@@ -248,84 +246,38 @@ class ShmemLayer(OneSidedLayer):
         if lock.size < 1 or lock.itemsize != 8:
             raise TypeError("a SHMEM lock must be a symmetric 8-byte integer")
 
-    def _record_shlock(self, op: str, tag: str, lock: SymmetricArray, t_start: float) -> None:
-        """Sync-capture record for a SHMEM global lock, keyed by the
-        lock word's heap offset (there is no image/index dimension)."""
-        tracer = self.job.tracer
-        if tracer is None or not tracer.capture_sync:
-            return
-        ctx = current()
-        hold_key = ("shlock", lock.byte_offset)
-        if op == "lock_acquire":
-            ticket = tracer.begin_hold(hold_key, ctx.pe)
-        else:
-            ticket = tracer.end_hold(hold_key, ctx.pe)
-        tracer.record(
-            ctx.pe, op, 0, 0, t_start, ctx.clock.now,
-            meta=(tag, f"sh:{lock.byte_offset}", -1, 0, ticket), internal=False,
-        )
+    def _lock_ident(self, lock: SymmetricArray) -> tuple:
+        """Sync-record identity of a SHMEM global lock, keyed by the lock
+        word's heap offset (there is no image/index dimension)."""
+        return (f"sh:{lock.byte_offset}", -1, 0)
 
     def set_lock(self, lock: SymmetricArray) -> None:
         """Acquire; test-and-set with exponential backoff on PE 0's word."""
         self._check_lock(lock)
-        ctx = current()
-        t_start = ctx.clock.now
-        backoff = self._LOCK_BACKOFF_START_US
-        tracer = self.job.tracer
-        spin = self.engine.spin_yield
-        machinery = tracer.sync_internal() if tracer is not None else nullcontext()
-        with machinery, self.job.watchdog.watch(
-            ctx.pe, f"shmem_set_lock(offset={lock.byte_offset})"
-        ) as guard:
-            while True:
-                if self.job.aborted():
-                    raise JobAborted("job aborted while acquiring shmem lock")
-                guard.poll()
-                old = self.atomic(lock, 0, 0, "cswap", ctx.pe + 1, 0)
-                if int(old) == 0:
-                    break
-                # F2018 rule carried over to shmem locks: a failed image's
-                # locks become unlocked.  Steal the word from a dead holder
-                # (cswap keyed on the observed owner keeps the steal atomic
-                # against a racing survivor).
-                holder = int(old) - 1
-                if self._failed is not None and self._failed.is_failed(holder):
-                    stolen = self.atomic(
-                        lock, 0, 0, "cswap", ctx.pe + 1, int(old)
-                    )
-                    if int(stolen) == int(old):
-                        break
-                ctx.clock.advance(backoff)
-                backoff = min(backoff * 2, self._LOCK_BACKOFF_MAX_US)
-                spin(ctx, "lock_spin", 0)  # wall-clock yield; cost is virtual
-        self._record_shlock("lock_acquire", "la", lock, t_start)
+        t_start = current().clock.now
+        self.tas_acquire(
+            lock, 0, 0, f"shmem_set_lock(offset={lock.byte_offset})",
+            self._LOCK_BACKOFF_START_US, self._LOCK_BACKOFF_MAX_US,
+        )
+        self.record_hold(True, 0, t_start, self._lock_ident(lock))
 
     def test_lock(self, lock: SymmetricArray) -> bool:
         """One acquisition attempt; True on success."""
         self._check_lock(lock)
-        ctx = current()
-        t_start = ctx.clock.now
-        tracer = self.job.tracer
-        machinery = tracer.sync_internal() if tracer is not None else nullcontext()
-        with machinery:
-            old = self.atomic(lock, 0, 0, "cswap", ctx.pe + 1, 0)
-        if int(old) == 0:
-            self._record_shlock("lock_acquire", "la", lock, t_start)
-            return True
-        return False
+        t_start = current().clock.now
+        if not self.tas_try(lock, 0, 0):
+            return False
+        self.record_hold(True, 0, t_start, self._lock_ident(lock))
+        return True
 
     def clear_lock(self, lock: SymmetricArray) -> None:
         """Release; must be called by the holder."""
         self._check_lock(lock)
         ctx = current()
         t_start = ctx.clock.now
-        self.quiet()  # writes in the critical section complete before release
-        tracer = self.job.tracer
-        machinery = tracer.sync_internal() if tracer is not None else nullcontext()
-        with machinery:
-            old = self.atomic(lock, 0, 0, "cswap", 0, ctx.pe + 1)
-        if int(old) != ctx.pe + 1:
+        old = self.tas_release(lock, 0, 0)
+        if old != ctx.pe + 1:
             raise RuntimeError(
-                f"PE {ctx.pe} released a shmem lock it does not hold (owner word={int(old)})"
+                f"PE {ctx.pe} released a shmem lock it does not hold (owner word={old})"
             )
-        self._record_shlock("lock_release", "lr", lock, t_start)
+        self.record_hold(False, 0, t_start, self._lock_ident(lock))

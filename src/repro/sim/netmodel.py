@@ -250,6 +250,16 @@ class NetworkModel:
     # float addition is not associative).  The pricers are the model;
     # the direct methods further down (``put``, ``put_batch``, ...) are
     # views of them, not a second copy of the arithmetic.
+    #
+    # Transfers are built by two makers.  :meth:`_make_send` prices put
+    # and native iput, :meth:`_make_fetch` get and native iget, scalar
+    # (``count == 1``) and batched alike.  The contiguous-vs-strided
+    # distinction is one per-call shape resolved in
+    # :meth:`_transfer_pricer`: a native iput is a put with overhead
+    # ``o_put_us`` (no rendezvous handshake), duration ``wire + gap``
+    # (``gap`` = ``nelems`` x the per-element gather gap), never eager,
+    # and ``+ gap`` on-node; a native iget is a get with duration
+    # ``wire + gap``.
 
     @staticmethod
     def _gather_gap(
@@ -281,70 +291,13 @@ class NetworkModel:
     def put_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
         """Pricer for a contiguous put of ``nbytes`` from PE ``src`` to
         ``dst``: memoized ``price(now) -> TransferTiming``."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if nbytes < 0:
-                raise ValueError("nbytes must be non-negative")
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_put_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-
-                def price(now: float) -> TransferTiming:
-                    done = now + half + lat + byte_t
-                    return TransferTiming(local_complete=done, remote_complete=done)
-
-                return price
-            overhead = conduit.o_put_us
-            if nbytes > conduit.eager_threshold:
-                overhead += conduit.rendezvous_extra_us
-            eager = nbytes <= conduit.eager_threshold
-            wire = self._wire_time(nbytes, conduit)
-            tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-
-            def price(now: float) -> TransferTiming:
-                ready = now + overhead
-                tx_start, tx_end = tx.reserve(ready, wire)
-                _, rx_end = rx.reserve(tx_start + L, wire)
-                return TransferTiming(
-                    local_complete=ready if eager else tx_end, remote_complete=rx_end
-                )
-
-            return price
-
-        return self._pricer(("put1", src_node, dst_node, nbytes, conduit), make)
+        return self._transfer_pricer("put", src, dst, 1, conduit, nbytes)
 
     def get_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
         """Pricer for a blocking get (``src`` reads ``nbytes`` from
         ``dst``): memoized ``price(now) -> done``, the time the data is
         available at the initiator."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if nbytes < 0:
-                raise ValueError("nbytes must be non-negative")
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_get_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                return lambda now: now + half + lat + byte_t
-            o_get = conduit.o_get_us
-            wire = self._wire_time(nbytes, conduit)
-            tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-
-            def price(now: float) -> float:
-                tx_start, _ = tx.reserve(now + o_get + L, wire)
-                _, rx_end = rx.reserve(tx_start + L, wire)
-                return rx_end
-
-            return price
-
-        return self._pricer(("get1", src_node, dst_node, nbytes, conduit), make)
+        return self._transfer_pricer("get", src, dst, 1, conduit, nbytes)
 
     def iput_pricer(
         self,
@@ -364,46 +317,8 @@ class NetworkModel:
         layer, mirroring how MVAPICH2-X implements ``shmem_iput`` as a
         series of contiguous puts.
         """
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if not conduit.iput_native:
-                raise ValueError(
-                    f"{conduit.name} has no native iput; caller must loop over put()"
-                )
-            if nelems < 0 or elem_size <= 0:
-                raise ValueError("nelems must be >= 0 and elem_size > 0")
-            m = self._machine
-            nbytes = nelems * elem_size
-            gap = self._gather_gap(conduit, elem_size, stride_bytes)
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_put_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                gap_t = nelems * gap
-
-                def price(now: float) -> TransferTiming:
-                    done = now + half + lat + byte_t + gap_t
-                    return TransferTiming(local_complete=done, remote_complete=done)
-
-                return price
-            o = conduit.o_put_us
-            duration = self._wire_time(nbytes, conduit) + nelems * gap
-            tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-
-            # Strided source data cannot be eagerly buffered as one block:
-            # the source buffer is free once the descriptor's gather ends.
-            def price(now: float) -> TransferTiming:
-                tx_start, tx_end = tx.reserve(now + o, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return TransferTiming(local_complete=tx_end, remote_complete=rx_end)
-
-            return price
-
-        return self._pricer(
-            ("iput1", src_node, dst_node, nelems, elem_size, stride_bytes, conduit),
-            make,
+        return self._transfer_pricer(
+            "iput", src, dst, 1, conduit, 0, nelems, elem_size, stride_bytes
         )
 
     def iget_pricer(
@@ -421,38 +336,8 @@ class NetworkModel:
         Like :meth:`get_pricer` but the target NIC pays a per-element
         gather gap.  Only valid for ``conduit.iput_native`` conduits.
         """
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if not conduit.iput_native:
-                raise ValueError(
-                    f"{conduit.name} has no native iget; caller must loop over get()"
-                )
-            if nelems < 0 or elem_size <= 0:
-                raise ValueError("nelems must be >= 0 and elem_size > 0")
-            m = self._machine
-            nbytes = nelems * elem_size
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_get_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                return lambda now: now + half + lat + byte_t
-            o_get = conduit.o_get_us
-            gap = self._gather_gap(conduit, elem_size, stride_bytes)
-            duration = self._wire_time(nbytes, conduit) + nelems * gap
-            tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-
-            def price(now: float) -> float:
-                tx_start, _ = tx.reserve(now + o_get + L, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return rx_end
-
-            return price
-
-        return self._pricer(
-            ("iget1", src_node, dst_node, nelems, elem_size, stride_bytes, conduit),
-            make,
+        return self._transfer_pricer(
+            "iget", src, dst, 1, conduit, 0, nelems, elem_size, stride_bytes
         )
 
     def amo_pricer(self, src: int, dst: int, conduit: ConduitProfile):
@@ -521,164 +406,155 @@ class NetworkModel:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        if count == 1:
-            if op == "put":
-                return self.put_pricer(src, dst, nbytes, conduit)
-            if op == "get":
-                return self.get_pricer(src, dst, nbytes, conduit)
-            if op == "iput":
-                return self.iput_pricer(src, dst, nelems, elem_size, conduit, stride_bytes)
-            if op == "iget":
-                return self.iget_pricer(src, dst, nelems, elem_size, conduit, stride_bytes)
-            raise ValueError(f"unknown batch op {op!r}")
+        return self._transfer_pricer(
+            op, src, dst, count, conduit, nbytes, nelems, elem_size, stride_bytes
+        )
+
+    def _transfer_pricer(
+        self, op, src, dst, count, conduit, nbytes=0, nelems=0, elem_size=0,
+        stride_bytes=None,
+    ):
+        """The memo lookup behind every transfer factory: validate once,
+        resolve the per-call shape, build through the send or fetch
+        maker.  ``count == 1`` shares its entry with the scalar factory."""
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
-        key = (
-            op, src_node, dst_node, nbytes, nelems, elem_size, count, stride_bytes, conduit,
+
+        def make():
+            strided = op in ("iput", "iget")
+            if strided:
+                if not conduit.iput_native:
+                    raise ValueError(
+                        f"{conduit.name} has no native {op}; "
+                        f"caller must loop over {op[1:]}()"
+                    )
+                if nelems < 0 or elem_size <= 0:
+                    raise ValueError("nelems must be >= 0 and elem_size > 0")
+                size = nelems * elem_size
+                gap = nelems * self._gather_gap(conduit, elem_size, stride_bytes)
+                duration = self._wire_time(size, conduit) + gap
+            elif op in ("put", "get"):
+                if nbytes < 0:
+                    raise ValueError("nbytes must be non-negative")
+                size, gap = nbytes, 0.0
+                duration = self._wire_time(size, conduit)
+            else:
+                raise ValueError(f"unknown batch op {op!r}")
+            if op in ("get", "iget"):
+                return self._make_fetch(src_node, dst_node, size, count, conduit, duration)
+            # Strided source data cannot be eagerly buffered as one block
+            # (the source buffer is free once the descriptor's gather
+            # ends), and one native descriptor needs no rendezvous.
+            eager = not strided and size <= conduit.eager_threshold
+            overhead = conduit.o_put_us
+            if not strided and not eager:
+                overhead += conduit.rendezvous_extra_us
+            return self._make_send(
+                src_node, dst_node, size, count, conduit, overhead, duration, eager, gap
+            )
+
+        return self._pricer(
+            (op, src_node, dst_node, nbytes, nelems, elem_size, stride_bytes, count, conduit),
+            make,
         )
-        if op == "put":
-            make = lambda: self._make_put_batch(src_node, dst_node, nbytes, count, conduit)
-        elif op == "get":
-            make = lambda: self._make_get_batch(src_node, dst_node, nbytes, count, conduit)
-        elif op == "iput":
-            make = lambda: self._make_iput_batch(
-                src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
-            )
-        elif op == "iget":
-            make = lambda: self._make_iget_batch(
-                src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
-            )
-        else:
-            raise ValueError(f"unknown batch op {op!r}")
-        return self._pricer(key, make)
 
     # -- batch pricers -------------------------------------------------
     #
-    # A batch pricer prices ``count`` identical back-to-back calls
-    # issued by one initiator whose clock merges each call's local
-    # completion before the next call (exactly what OneSidedLayer does),
-    # returning the timing of the *final* call.  Within such a chain the
-    # intermediate local/remote times increase monotonically, so callers
-    # that only need the final clock value, the final pending-remote
-    # time, and a single max-stamped memory update lose nothing.  All
-    # arithmetic replays the scalar pricer's additions in the same
-    # order: ``np.cumsum`` accumulates strictly left to right, so a
-    # cumsum over the tiled per-call deltas is bit-for-bit the value
-    # chain a scalar loop would produce.  Chains read only at their end
-    # (intra-node chains, the get/iget chains after the first call) use
-    # :func:`~repro.sim.resources.chain_last`, the same value without
-    # the per-call array; chains that feed ``reserve_batch`` (put/iput
-    # ready and tx starts) need every element and stay on cumsum.  The
-    # timelines' batch primitives (``reserve_batch``/``push_batch``) do
-    # the same for the counters — every returned time and every timeline counter is
-    # bit-identical to ``count`` sequential calls.  The whole chain is
-    # priced atomically; under multi-initiator contention a scalar loop
-    # could interleave with other PEs' reservations, but that
-    # interleaving is scheduler-dependent (nondeterministic) either way.
+    # A batch pricer (``count >= 2``) prices ``count`` identical
+    # back-to-back calls issued by one initiator whose clock merges each
+    # call's local completion before the next call (exactly what
+    # OneSidedLayer does), returning the timing of the *final* call.
+    # Within such a chain the intermediate local/remote times increase
+    # monotonically, so callers that only need the final clock value,
+    # the final pending-remote time, and a single max-stamped memory
+    # update lose nothing.  All arithmetic replays the scalar closure's
+    # additions in the same order: ``np.cumsum`` accumulates strictly
+    # left to right, so a cumsum over the tiled per-call deltas is
+    # bit-for-bit the value chain a scalar loop would produce.  Chains
+    # read only at their end (intra-node chains, the get/iget chains
+    # after the first call) use :func:`~repro.sim.resources.chain_last`,
+    # the same value without the per-call array; chains that feed
+    # ``reserve_batch`` (put/iput ready and tx starts) need every
+    # element and stay on cumsum.  The timelines' batch primitives
+    # (``reserve_batch``/``push_batch``) do the same for the counters —
+    # every returned time and every timeline counter is bit-identical to
+    # ``count`` sequential calls.  The whole chain is priced atomically;
+    # under multi-initiator contention a scalar loop could interleave
+    # with other PEs' reservations, but that interleaving is
+    # scheduler-dependent (nondeterministic) either way.
 
-    def _make_put_batch(self, src_node, dst_node, nbytes, count, conduit):
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+    def _make_send(
+        self, src_node, dst_node, nbytes, count, conduit, overhead, duration, eager, gap
+    ):
+        """Price ``count`` back-to-back puts or native iputs.
+
+        Inter-node, one call is ``ready = now + overhead``, a ``duration``
+        on the source injection engine, then on the destination reception
+        engine ``L`` later; it completes locally at ``ready`` when
+        ``eager``, else at injection end.  On-node it is one closed sum
+        whose last term is the gather ``gap`` (0.0 for a put).
+        """
         m = self._machine
         if src_node == dst_node:
             period = (0.5 * conduit.o_put_us, m.intra_latency_us,
-                      nbytes / m.intra_bandwidth_Bpus)
+                      nbytes / m.intra_bandwidth_Bpus, gap)
+            if count == 1:
+                half, lat, byte_t, _ = period
+
+                # A put's gap is 0.0, and x + 0.0 == x for every clock
+                # (only -0.0 would change, and no clock is -0.0), so the
+                # shared four-term sum is bit-exact for put and iput.
+                def price(now: float) -> TransferTiming:
+                    done = now + half + lat + byte_t + gap
+                    return TransferTiming(local_complete=done, remote_complete=done)
+
+                return price
 
             def price(now: float) -> TransferTiming:
                 done = chain_last(now, period, count)
                 return TransferTiming(local_complete=done, remote_complete=done)
 
             return price
-        wire = self._wire_time(nbytes, conduit)
         tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-        if nbytes <= conduit.eager_threshold:
-            # Eager: local_k = ready_k = now_k + o, so the ready chain is
+        if count == 1:
+
+            def price(now: float) -> TransferTiming:
+                ready = now + overhead
+                tx_start, tx_end = tx.reserve(ready, duration)
+                _, rx_end = rx.reserve(tx_start + L, duration)
+                return TransferTiming(
+                    local_complete=ready if eager else tx_end, remote_complete=rx_end
+                )
+
+            return price
+        if eager:
+            # local_k = ready_k = now_k + overhead, so the ready chain is
             # independent of the timelines.
-            o = conduit.o_put_us
 
             def price(now: float) -> TransferTiming:
                 seq = np.empty(count + 1, dtype=np.float64)
                 seq[0] = now
-                seq[1:] = o
+                seq[1:] = overhead
                 ready = np.cumsum(seq)[1:]
-                tx_starts = tx.reserve_batch(ready, wire)
-                rx_starts = rx.reserve_batch(tx_starts + L, wire)
+                tx_starts = tx.reserve_batch(ready, duration)
+                rx_starts = rx.reserve_batch(tx_starts + L, duration)
                 return TransferTiming(
                     local_complete=float(ready[-1]),
-                    remote_complete=float(rx_starts[-1] + wire),
+                    remote_complete=float(rx_starts[-1] + duration),
                 )
 
             return price
-        # Rendezvous: local_k = tx_end_k, so ready_{k+1} = tx_end_k + o_r
-        # >= tx_end_k = tx next_free — only the first call can queue.
-        o_r = conduit.o_put_us + conduit.rendezvous_extra_us
-        tmpl = np.tile(np.asarray((wire, o_r), dtype=np.float64), count - 1)
+        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + overhead >=
+        # tx_end_k = tx next_free: only the first call can queue on the
+        # injection engine.
+        tmpl = np.tile(np.asarray((duration, overhead), dtype=np.float64), count - 1)
 
         def price(now: float) -> TransferTiming:
-            s1, _ = tx.reserve(now + o_r, wire)
+            s1, _ = tx.reserve(now + overhead, duration)
             seq = np.empty(1 + tmpl.size, dtype=np.float64)
             seq[0] = s1
             seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[0::2]
-            tx_end_last = float(tx_starts[-1] + wire)
-            tx.push_batch(tx_end_last, count - 1, wire)
-            rx_starts = rx.reserve_batch(tx_starts + L, wire)
-            return TransferTiming(
-                local_complete=tx_end_last,
-                remote_complete=float(rx_starts[-1] + wire),
-            )
-
-        return price
-
-    def _make_get_batch(self, src_node, dst_node, nbytes, count, conduit):
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        if src_node == dst_node:
-            period = (0.5 * conduit.o_get_us, m.intra_latency_us,
-                      nbytes / m.intra_bandwidth_Bpus)
-            return lambda now: chain_last(now, period, count)
-        o_get = conduit.o_get_us
-        wire = self._wire_time(nbytes, conduit)
-        tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        return self._make_fetch_chain(tx, rx, o_get, L, wire, count)
-
-    def _make_iput_batch(
-        self, src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
-    ):
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        if src_node == dst_node:
-            period = (0.5 * conduit.o_put_us, m.intra_latency_us,
-                      nbytes / m.intra_bandwidth_Bpus, nelems * gap)
-
-            def price(now: float) -> TransferTiming:
-                done = chain_last(now, period, count)
-                return TransferTiming(local_complete=done, remote_complete=done)
-
-            return price
-        o = conduit.o_put_us
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + o >= next_free:
-        # only the first descriptor can queue on the injection engine.
-        tmpl = np.tile(np.asarray((duration, o), dtype=np.float64), count - 1)
-
-        def price(now: float) -> TransferTiming:
-            s1, _ = tx.reserve(now + o, duration)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = s1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[0::2]
+            tx_starts = np.cumsum(seq)[0::2]
             tx_end_last = float(tx_starts[-1] + duration)
             tx.push_batch(tx_end_last, count - 1, duration)
             rx_starts = rx.reserve_batch(tx_starts + L, duration)
@@ -689,25 +565,32 @@ class NetworkModel:
 
         return price
 
-    def _make_iget_batch(
-        self, src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
-    ):
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
+    def _make_fetch(self, src_node, dst_node, nbytes, count, conduit, duration):
+        """Price ``count`` back-to-back blocking gets or native igets.
+
+        Inter-node, a request travels ``o_get + L`` to the target, whose
+        injection engine streams ``duration`` back to the initiator's
+        reception engine ``L`` later.  On-node a native iget pays no
+        gather gap, so both ops are the same closed sum.
+        """
         m = self._machine
-        nbytes = nelems * elem_size
         if src_node == dst_node:
             period = (0.5 * conduit.o_get_us, m.intra_latency_us,
                       nbytes / m.intra_bandwidth_Bpus)
+            if count == 1:
+                half, lat, byte_t = period
+                return lambda now: now + half + lat + byte_t
             return lambda now: chain_last(now, period, count)
         o_get = conduit.o_get_us
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
         tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
+        if count == 1:
+
+            def price(now: float) -> float:
+                tx_start, _ = tx.reserve(now + o_get + L, duration)
+                _, rx_end = rx.reserve(tx_start + L, duration)
+                return rx_end
+
+            return price
         return self._make_fetch_chain(tx, rx, o_get, L, duration, count)
 
     @staticmethod

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import caf
+from repro.collectives import AlgorithmSelector
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -38,11 +39,14 @@ def test_co_sum_result_image_semantics(algo, monkeypatch):
     """``result_image=j``: image j holds the exact reduction; other
     images' arrays become undefined per the Fortran standard (they hold
     *some* value — don't pin it), but shape and dtype are preserved.
-    Holds under every forced algorithm and under auto-selection."""
+    Holds under every forced algorithm and under auto-selection.  CAF
+    collectives take no ``algorithm=``, so the selector is forced."""
     if algo is not None:
-        monkeypatch.setenv("REPRO_COLLECTIVE", algo)
-    else:
-        monkeypatch.delenv("REPRO_COLLECTIVE", raising=False)
+        choose = AlgorithmSelector.choose
+        monkeypatch.setattr(
+            AlgorithmSelector, "choose",
+            lambda self, *a, **kw: choose(self, *a, **{**kw, "algorithm": algo}),
+        )
 
     def kernel():
         me = caf.this_image()

@@ -1,18 +1,15 @@
 """The collective algorithm library: every algorithm, every kind.
 
-Correctness on single-node and multi-node team shapes, forced-algorithm
-overrides (parameter and ``REPRO_COLLECTIVE``), selector fallbacks,
+Correctness on single-node and multi-node team shapes, the forced
+``algorithm=`` override, selector fallbacks,
 zero-size short-circuits, and sanitizer cleanliness per algorithm.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.collectives import (
     ALGORITHMS,
-    FORCE_ENV,
     AlgorithmSelector,
     candidates_for,
     team_allgather_step,
@@ -155,36 +152,34 @@ def test_noncommutative_reduce_keeps_rank_order():
 # ----------------------------------------------------------------------
 # Forcing and selection
 # ----------------------------------------------------------------------
-def test_env_forces_algorithm(monkeypatch):
-    monkeypatch.setenv(FORCE_ENV, "ring")
+def test_algorithm_parameter_forces():
     job = Job(4, "stampede", heap_bytes=1 << 15, engine="threaded")
     layer = shmem_attach(job)
 
     def body():
         comm = get_team_comm(layer, (0, 1, 2, 3))
         from repro.collectives.select import selector_for
-        return selector_for(layer).choose("reduce", comm, 64)
+        return selector_for(layer).choose("reduce", comm, 64, algorithm="ring")
 
     assert job.run(body) == ["ring"] * 4
 
 
-def test_env_unknown_algorithm_rejected(monkeypatch):
-    monkeypatch.setenv(FORCE_ENV, "quantum")
+def test_unknown_algorithm_rejected():
     job = Job(2, "stampede", heap_bytes=1 << 15, engine="threaded")
     layer = shmem_attach(job)
 
     def body():
         data = np.ones(2)
-        return drive(team_reduce_step(layer, (0, 1), data, np.add, Done))
+        return drive(team_reduce_step(layer, (0, 1), data, np.add, Done,
+                                      algorithm="quantum"))
 
     with pytest.raises(Exception, match="unknown collective algorithm"):
         job.run(body)
 
 
-def test_forced_inapplicable_falls_back(monkeypatch):
+def test_forced_inapplicable_falls_back():
     """A forced algorithm that does not apply to the call falls back to
     a generally-applicable candidate instead of erroring."""
-    monkeypatch.setenv(FORCE_ENV, "recdbl")
     job = Job(4, "stampede", heap_bytes=1 << 15, engine="threaded")
     layer = shmem_attach(job)
 
@@ -192,8 +187,9 @@ def test_forced_inapplicable_falls_back(monkeypatch):
         comm = get_team_comm(layer, (0, 1, 2, 3))
         from repro.collectives.select import selector_for
         sel = selector_for(layer)
-        return (sel.choose("bcast", comm, 64),
-                sel.choose("reduce", comm, 64, commutative=False))
+        return (sel.choose("bcast", comm, 64, algorithm="recdbl"),
+                sel.choose("reduce", comm, 64, commutative=False,
+                           algorithm="recdbl"))
 
     for bcast_pick, noncomm_pick in job.run(body):
         assert bcast_pick == "binomial"
