@@ -138,9 +138,9 @@ class Engine:
     def make_memories(self, num_pes: int, heap_bytes: int) -> list:
         """The job's per-PE memories (the deterministic engines substitute
         memories whose lock is a :class:`~repro.engine.sched.WakeHook`)."""
-        from repro.runtime.memory import PEMemory
+        from repro.runtime.memory import PEMemory, zeroed_heaps
 
-        return [PEMemory(heap_bytes) for _ in range(num_pes)]
+        return [PEMemory(heap_bytes, buf) for buf in zeroed_heaps(num_pes, heap_bytes)]
 
     # ------------------------------------------------------------------
     # Fault injection and retransmission (engine-neutral; see module doc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 
 from repro.engine.base import EngineError
-from repro.runtime.memory import PEMemory
+from repro.runtime.memory import PEMemory, zeroed_heaps
 
 
 class DeadlockError(EngineError):
@@ -53,9 +53,9 @@ class WakeHook(threading.Condition):
 
 
 class _HookedMemory(PEMemory):
-    def __init__(self, nbytes: int, hook: WakeHook) -> None:
+    def __init__(self, nbytes: int, buf, hook: WakeHook) -> None:
         self._hook = hook  # read by the _make_cond hook in the base __init__
-        super().__init__(nbytes)
+        super().__init__(nbytes, buf)
 
     def _make_cond(self):
         return self._hook
@@ -80,9 +80,9 @@ class ParkCore:
 
     def memories(self, heap_bytes: int, make_lock=None) -> list:
         """The job's memories, each locked by a ``make_lock()`` if given."""
-        return [_HookedMemory(heap_bytes, WakeHook(
+        return [_HookedMemory(heap_bytes, buf, WakeHook(
             pe, self.values, self.dirty, make_lock and make_lock()))
-            for pe in range(len(self.values))]
+            for pe, buf in enumerate(zeroed_heaps(len(self.values), heap_bytes))]
 
     def park_value(self, pe: int, predicate, reason: str, data=None) -> None:
         """Park ``pe`` until a write to its own memory makes ``predicate`` hold."""

@@ -1,6 +1,7 @@
 """A PE's remotely-accessible memory.
 
-One :class:`PEMemory` per PE backs its symmetric heap.  Remote writers
+One :class:`PEMemory` per PE backs its symmetric heap, a view into a
+zeroed slab (:func:`zeroed_heaps`, docs/MODEL.md §7).  Remote writers
 deposit bytes with :meth:`write` (our stand-in for RDMA into a
 registered segment); local and remote readers copy out with
 :meth:`read`.  Every write publishes a virtual timestamp and notifies a
@@ -17,20 +18,43 @@ atomicity among AMOs on the same 8-byte word.
 
 from __future__ import annotations
 
+import mmap
 import threading
 from typing import Callable
 
 import numpy as np
 
+PAGE_BYTES = 4096
+#: Largest zeroed slab heaps are cut from; a larger heap gets its own.
+SLAB_BYTES = 1 << 30
+
+
+def zeroed_heaps(count: int, nbytes: int) -> list[np.ndarray]:
+    """``count`` zero-filled ``nbytes`` heaps, cut at a page-rounded
+    stride from anonymous mappings (slabs) of at most ``SLAB_BYTES``:
+    zero pages the kernel fills in a page at a time on first touch, not
+    a memset per heap (docs/MODEL.md §7)."""
+    if nbytes <= 0:
+        raise ValueError("memory size must be positive")
+    stride = -(-nbytes // PAGE_BYTES) * PAGE_BYTES
+    per_slab = max(1, SLAB_BYTES // stride)
+    heaps = []
+    for first in range(0, count, per_slab):
+        n = min(per_slab, count - first)
+        slab = np.frombuffer(mmap.mmap(-1, n * stride, flags=mmap.MAP_PRIVATE), np.uint8)
+        heaps += [slab[i * stride : i * stride + nbytes] for i in range(n)]
+    return heaps
+
 
 class PEMemory:
-    """Byte-addressable, notification-capable memory of one PE."""
+    """Byte-addressable, notification-capable memory of one PE: ``buf``
+    (``nbytes`` zeroed ``uint8``), or a buffer of its own."""
 
-    def __init__(self, nbytes: int) -> None:
+    def __init__(self, nbytes: int, buf: np.ndarray | None = None) -> None:
         if nbytes <= 0:
             raise ValueError("memory size must be positive")
         self.nbytes = nbytes
-        self._buf = np.zeros(nbytes, dtype=np.uint8)
+        self._buf = np.zeros(nbytes, dtype=np.uint8) if buf is None else buf
         self._cond = self._make_cond()
         self._last_write_time = 0.0
         # Virtual timestamps of the last atomic update per word offset:
