@@ -33,6 +33,7 @@ from repro.comm.heap import SymmetricArray
 __all__ = [
     "BatchSpec",
     "build_spec",
+    "plan_spec",
     "execute_get",
     "execute_put",
 ]
@@ -67,15 +68,21 @@ def _sel_shape(sels: list[DimSel]) -> tuple[int, ...]:
     return tuple(s.count for s in sels)
 
 
-def _single_line(layer: OneSidedLayer, plan: TransferPlan) -> bool:
-    """Single-call plans skip the batch machinery entirely: one line is
-    exactly one iput/iget (one run one put/get), with bit-identical
+def _single_call(layer: OneSidedLayer, plan: TransferPlan) -> bool:
+    """Single-call plans skip the batch machinery entirely: one run is
+    exactly one put/get, one line one iput/iget, with bit-identical
     pricing, stats, and trace.  Non-native single lines only qualify
     when they hold a single element (otherwise the batch path's
     aggregate pricing is the faster shape)."""
-    return plan.kind == "lines" and plan.num_calls == 1 and (
-        layer.profile.iput_native or plan.per_call == 1
+    return plan.num_calls == 1 and (
+        plan.kind == "runs" or layer.profile.iput_native or plan.per_call == 1
     )
+
+
+def plan_spec(layer: OneSidedLayer, plan: TransferPlan, itemsize: int) -> BatchSpec | None:
+    """The :class:`BatchSpec` that executing ``plan`` on ``layer`` uses:
+    None for single-call plans, which never read one."""
+    return None if _single_call(layer, plan) else build_spec(plan, itemsize)
 
 
 def execute_put(
@@ -93,28 +100,26 @@ def execute_put(
     ``spec`` is the plan's compiled :class:`BatchSpec` (pass a cached
     one to skip recompiling); built on the fly when omitted.
     """
-    shape = _sel_shape(sels)
-    payload = np.ascontiguousarray(np.broadcast_to(data, shape), dtype=handle.dtype)
+    payload = np.broadcast_to(data, _sel_shape(sels))
     lines = plan.kind == "lines"
     if lines:
-        moved = np.moveaxis(payload, plan.base_dim, -1)
-        flat = np.ascontiguousarray(moved).reshape(-1)
-    else:
-        flat = payload.reshape(-1)
-    if _single_line(layer, plan):
-        layer.iput(
-            handle, flat, tst=plan.stride, sst=1,
-            nelems=plan.per_call, pe=pe, offset=int(plan.offsets[0]),
-        )
-    elif plan.kind == "runs" and plan.num_calls == 1:
-        layer.put(handle, flat, pe, offset=int(plan.offsets[0]))
+        payload = np.moveaxis(payload, plan.base_dim, -1)
+    flat = np.ascontiguousarray(payload, dtype=handle.dtype).reshape(-1)
+    if _single_call(layer, plan):
+        if lines:
+            layer.iput(
+                handle, flat, tst=plan.stride, sst=1,
+                nelems=plan.per_call, pe=pe, offset=int(plan.offsets[0]),
+            )
+        else:
+            layer.put(handle, flat, pe, offset=int(plan.offsets[0]))
     else:
         if spec is None:
             spec = build_spec(plan, handle.itemsize)
         if spec is not None:
             layer.execute_plan_put(handle, flat, pe, spec)
     stats["iput_calls" if lines else "putmem_calls"] += plan.num_calls
-    stats["put_elems"] += int(payload.size)
+    stats["put_elems"] += int(flat.size)
 
 
 def execute_get(
@@ -129,13 +134,14 @@ def execute_get(
     """Read the selection from ``pe`` under ``plan``; returns an array
     shaped like the (unsqueezed) selection."""
     shape = _sel_shape(sels)
-    if _single_line(layer, plan):
-        flat = layer.iget(
-            handle, tst=1, sst=plan.stride, nelems=plan.per_call, pe=pe,
-            offset=int(plan.offsets[0]),
-        )
-    elif plan.kind == "runs" and plan.num_calls == 1:
-        flat = layer.get(handle, plan.per_call, pe, offset=int(plan.offsets[0]))
+    if _single_call(layer, plan):
+        if plan.kind == "lines":
+            flat = layer.iget(
+                handle, tst=1, sst=plan.stride, nelems=plan.per_call, pe=pe,
+                offset=int(plan.offsets[0]),
+            )
+        else:
+            flat = layer.get(handle, plan.per_call, pe, offset=int(plan.offsets[0]))
     else:
         if spec is None:
             spec = build_spec(plan, handle.itemsize)

@@ -440,7 +440,8 @@ class CafRuntime:
     def _plan_for(self, handle: SymmetricArray, shape: tuple[int, ...], key, algorithm):
         """Plan (and compile) a section access, via the LRU plan cache.
 
-        Returns ``(sels, result_shape, plan, spec)``.  Only default-
+        Returns ``(sels, result_shape, plan, spec)``; ``spec`` is None
+        for single-call plans, which never read one.  Only default-
         policy accesses are cached: an explicit per-call ``algorithm``
         override bypasses the cache entirely.  Keys include the dtype
         itemsize and the conduit's ``iput_native`` flag because both
@@ -469,7 +470,7 @@ class CafRuntime:
             iput_native=native,
             model_params=self._model_params(handle) if algo == "model" else None,
         )
-        entry = (sels, rshape, plan, rma.build_spec(plan, itemsize))
+        entry = (sels, rshape, plan, rma.plan_spec(self.layer, plan, itemsize))
         if cache_key is not None:
             with self._plan_cache_lock:
                 self._plan_cache[cache_key] = entry

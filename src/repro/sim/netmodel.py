@@ -472,16 +472,17 @@ class NetworkModel:
     # left to right, so a cumsum over the tiled per-call deltas is
     # bit-for-bit the value chain a scalar loop would produce.  Chains
     # read only at their end (intra-node chains, the get/iget chains
-    # after the first call) use :func:`~repro.sim.resources.chain_last`,
-    # the same value without the per-call array; chains that feed
-    # ``reserve_batch`` (put/iput ready and tx starts) need every
-    # element and stay on cumsum.  The timelines' batch primitives
-    # (``reserve_batch``/``push_batch``) do the same for the counters —
-    # every returned time and every timeline counter is bit-identical to
-    # ``count`` sequential calls.  The whole chain is priced atomically;
-    # under multi-initiator contention a scalar loop could interleave
-    # with other PEs' reservations, but that interleaving is
-    # scheduler-dependent (nondeterministic) either way.
+    # after the first call, put/iput chains that do not queue after
+    # their first call) use :func:`~repro.sim.resources.chain_last`,
+    # the same value without the per-call array; put/iput chains that
+    # may queue feed ``reserve_batch`` every element from cumsum.  The
+    # timelines' batch primitives (``reserve_batch``/``push_batch``) do
+    # the same for the counters — every returned time and every timeline
+    # counter is bit-identical to ``count`` sequential calls.  The whole
+    # chain is priced atomically; under multi-initiator contention a
+    # scalar loop could interleave with other PEs' reservations, but
+    # that interleaving is scheduler-dependent (nondeterministic) either
+    # way.
 
     def _make_send(
         self, src_node, dst_node, nbytes, count, conduit, overhead, duration, eager, gap
@@ -527,40 +528,46 @@ class NetworkModel:
                 )
 
             return price
-        if eager:
-            # local_k = ready_k = now_k + overhead, so the ready chain is
-            # independent of the timelines.
+        # Call k is ready at ready_k = ready_{k-1} + o when eager, else at
+        # tx_end_{k-1} + o.  Either way only the first call can queue on
+        # the injection engine (for eager calls if o >= d: rounding is
+        # monotone, so fl(r + o) >= fl(r + d), the free time the previous
+        # call left).  If the first tx call does not queue, every tx start
+        # is its ready time, and the rx earliests fl(tx_start_k + L) each
+        # lie at least margin - 2.5 ulp(top) past the previous
+        # reception's end, so past 4 ulp(top) no rx call after the first
+        # queues either (docs/MODEL.md §4).  Both chains are then read
+        # only at their end, through chain_last; otherwise every start
+        # comes from cumsum.
+        period = (overhead,) if eager else (duration, overhead)
+        margin = overhead - duration if eager else overhead
 
-            def price(now: float) -> TransferTiming:
-                seq = np.empty(count + 1, dtype=np.float64)
-                seq[0] = now
-                seq[1:] = overhead
-                ready = np.cumsum(seq)[1:]
-                tx_starts = tx.reserve_batch(ready, duration)
-                rx_starts = rx.reserve_batch(tx_starts + L, duration)
-                return TransferTiming(
-                    local_complete=float(ready[-1]),
-                    remote_complete=float(rx_starts[-1] + duration),
-                )
-
-            return price
-        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + overhead >=
-        # tx_end_k = tx next_free: only the first call can queue on the
-        # injection engine.
-        tmpl = np.tile(np.asarray((duration, overhead), dtype=np.float64), count - 1)
+        def chain(first):
+            seq = np.empty(1 + len(period) * (count - 1), dtype=np.float64)
+            seq[0] = first
+            seq[1:] = np.tile(np.asarray(period, dtype=np.float64), count - 1)
+            return np.cumsum(seq)[:: len(period)]
 
         def price(now: float) -> TransferTiming:
-            s1, _ = tx.reserve(now + overhead, duration)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = s1
-            seq[1:] = tmpl
-            tx_starts = np.cumsum(seq)[0::2]
-            tx_end_last = float(tx_starts[-1] + duration)
-            tx.push_batch(tx_end_last, count - 1, duration)
-            rx_starts = rx.reserve_batch(tx_starts + L, duration)
+            first = now + overhead
+            last = chain_last(first, period, count - 1)
+            tx_end, top = last + duration, last + L + duration
+            starts = tx.reserve_chain(
+                first, duration, count, tx_end if margin >= 0.0 else None,
+                lambda s1: chain(first if eager else s1),
+            )
+            if starts is None:
+                fits = margin > 4.0 * math.ulp(top)
+                starts = rx.reserve_chain(
+                    first + L, duration, count, top if fits else None,
+                    lambda _: chain(first) + L,
+                )
+            else:
+                tx_end = float(starts[-1] + duration)
+                starts = rx.reserve_batch(starts + L, duration)
             return TransferTiming(
-                local_complete=tx_end_last,
-                remote_complete=float(rx_starts[-1] + duration),
+                local_complete=last if eager else tx_end,
+                remote_complete=top if starts is None else float(starts[-1] + duration),
             )
 
         return price

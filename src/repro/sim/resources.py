@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -150,7 +151,9 @@ class Timeline:
         self._next_free = 0.0
         self._busy_time = 0.0
         self._reservations = 0
-        self._lock = threading.Lock()
+        # Reentrant so that reserve_chain can call reserve and the batch
+        # primitives inside its own hold of the lock.
+        self._lock = threading.RLock()
 
     def reserve(self, earliest: float, duration: float) -> tuple[float, float]:
         """Reserve ``duration`` microseconds starting no earlier than
@@ -208,6 +211,32 @@ class Timeline:
                 self._next_free = float(final_next_free)
             self._busy_time = chain_last(self._busy_time, (duration,), count)
             self._reservations += count
+
+    def reserve_chain(
+        self, earliest: float, duration: float, count: int, last_end: float | None,
+        chain: Callable[[float], np.ndarray],
+    ) -> np.ndarray | None:
+        """Reserve ``count`` back-to-back calls of ``duration`` in one
+        hold of the lock, so no other reservation lands inside the chain.
+
+        The first call is reserved at ``earliest``.  If it does not
+        queue and the caller has a closed form — ``last_end``, the end
+        of the last call when every later call starts at its own
+        earliest time — the other ``count - 1`` calls are accounted with
+        :meth:`push_batch` and None is returned.  Otherwise
+        ``chain(start)`` gives every call's earliest time after a first
+        call that started at ``start``; the later calls go through
+        :meth:`reserve_batch`, and every call's start is returned.
+        """
+        with self._lock:
+            start, _ = self.reserve(earliest, duration)
+            if last_end is not None and start == earliest:
+                self.push_batch(last_end, count - 1, duration)
+                return None
+            starts = chain(start)
+            starts[0] = start
+            starts[1:] = self.reserve_batch(starts[1:], duration)
+            return starts
 
     @property
     def next_free(self) -> float:

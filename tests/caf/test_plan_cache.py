@@ -1,11 +1,15 @@
 """The runtime's LRU transfer-plan cache: hits, bypasses, keying,
 eviction, and safety across deallocate/reallocate cycles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import caf
+from repro.caf.rma import build_spec, plan_spec
 from repro.caf.runtime import current_runtime
+from repro.caf.strided import make_plan, normalize_selection
 
 
 def test_repeated_sections_hit_the_cache():
@@ -153,3 +157,52 @@ def test_dealloc_realloc_never_serves_stale_plan(profile):
         assert np.array_equal(second, expect)
         assert off_a != off_b  # the reallocation really moved
         assert hits >= 1  # and the second put really came from the cache
+
+
+@pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem"])
+def test_single_call_entries_hold_no_spec(profile):
+    """Single-call plans go straight to put/get/iput/iget, so their cache
+    entries compile no BatchSpec (for a whole-array transfer that would be
+    an index of every element); multi-call plans still batch through
+    ``build_spec``'s index."""
+
+    def kernel():
+        me = caf.this_image()
+        a = caf.coarray((6, 8), np.int64)
+        a[...] = 0
+        caf.sync_all()
+        got = None
+        if me == 1:
+            a.on(2)[...] = 7  # one run
+            a.on(2)[0:6:2, 3] = 1  # one line (native) or three runs
+            a.on(2)[0:6:2, 0:8:4] = np.arange(6).reshape(3, 2)  # always multi-call
+            got = a.on(2)[...], a.on(2)[1:6:2, 5]
+        caf.sync_all()
+        rt = current_runtime()
+        return got, [entry[2:] for entry in rt._plan_cache.values()]
+
+    (whole, column), entries = caf.launch(kernel, num_images=2, profile=profile)[0]
+    want = np.full((6, 8), 7, dtype=np.int64)
+    want[0:6:2, 3] = 1
+    want[0:6:2, 0:8:4] = np.arange(6).reshape(3, 2)
+    assert np.array_equal(whole, want)
+    assert np.array_equal(column, want[1:6:2, 5])
+    assert len(entries) == 4
+    for plan, spec in entries:
+        if plan.num_calls == 1:
+            assert spec is None
+        else:
+            assert spec.rel_index.tolist() == build_spec(plan, 8).rel_index.tolist()
+    assert sum(spec is None for _, spec in entries) == (3 if profile == "cray-shmem" else 1)
+
+
+def test_non_native_single_line_keeps_its_spec():
+    """Without native iput a multi-element line is priced through the
+    batch path, so its plan still compiles a spec."""
+    sels, _ = normalize_selection((6, 8), (slice(0, 6, 2), 3))
+    plan = make_plan(sels, (6, 8), "2dim", iput_native=True)
+    assert (plan.kind, plan.num_calls, plan.per_call) == ("lines", 1, 3)
+    native, looped = (SimpleNamespace(profile=SimpleNamespace(iput_native=flag))
+                      for flag in (True, False))
+    assert plan_spec(native, plan, 8) is None
+    assert plan_spec(looped, plan, 8).rel_index.tolist() == build_spec(plan, 8).rel_index.tolist()

@@ -8,6 +8,7 @@ the last ULP, since float addition is not associative and the virtual
 timestamps downstream are compared bitwise.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,13 +29,14 @@ def fresh_model(machine="stampede", num_pes=48):
 
 
 def preload(model, backlog):
-    """Create queueing pressure on node 0/1/2 NICs before the batch."""
-    if not backlog:
-        return
+    """Create queueing pressure on node 0/1/2 NICs before the batch:
+    ``True`` on both engines, ``"tx"``/``"rx"`` on one of them only."""
     tls = model.timelines()
     for node in (0, 1, 2):
-        tls["tx"][node].reserve(0.0, 41.03)
-        tls["rx"][node].reserve(0.0, 67.9)
+        if backlog in (True, "tx"):
+            tls["tx"][node].reserve(0.0, 41.03)
+        if backlog in (True, "rx"):
+            tls["rx"][node].reserve(0.0, 67.9)
 
 
 def timeline_state(model):
@@ -44,10 +46,15 @@ def timeline_state(model):
     return out
 
 
+# The scalar oracles hold the memoized scalar pricer that ``model.put``
+# and friends call, so long chains stay cheap.
+
+
 def seq_put(model, src, dst, nbytes, count, conduit, now):
+    price = model.put_pricer(src, dst, nbytes, conduit)
     timing = None
     for _ in range(count):
-        timing = model.put(src, dst, nbytes, conduit, now)
+        timing = price(now)
         now = max(now, timing.local_complete)
     return timing
 
@@ -61,9 +68,10 @@ def seq_get(model, src, dst, nbytes, count, conduit, now):
 
 
 def seq_iput(model, src, dst, nelems, elem_size, count, conduit, now, stride_bytes):
+    price = model.iput_pricer(src, dst, nelems, elem_size, conduit, stride_bytes)
     timing = None
     for _ in range(count):
-        timing = model.iput(src, dst, nelems, elem_size, conduit, now, stride_bytes)
+        timing = price(now)
         now = max(now, timing.local_complete)
     return timing
 
@@ -80,24 +88,47 @@ def seq_iget(model, src, dst, nelems, elem_size, count, conduit, now, stride_byt
 PAIRS = {"intra": (0, 1), "inter": (0, 20)}
 COUNTS = [1, 2, 3, 7, 50]
 CONDUITS = ["cray-shmem", "mvapich2x-shmem", "gasnet", "mpi3"]
+BACKLOGS = [False, True, "tx", "rx"]
+
+
+def send_counts(pair, backlog):
+    """COUNTS plus chains long enough to cross many binades (the paper's
+    naive 50 x 40 x 25 section is 50,000 puts).  The longest runs only
+    where both inter-node closed forms apply (idle engines)."""
+    counts = COUNTS + [1250]
+    if pair == "inter" and backlog is False:
+        counts.append(50_000)
+    return counts
+
+
+def assert_send_matches(op, conduit, count, now, backlog=False, machine="stampede",
+                        pair="inter", **shape):
+    """``op``'s batch price equals ``count`` scalar calls: both times and
+    every timeline's state, bit for bit."""
+    a, b = fresh_model(machine), fresh_model(machine)
+    preload(a, backlog)
+    preload(b, backlog)
+    src, dst = PAIRS[pair]
+    if op == "put":
+        want = seq_put(a, src, dst, shape["nbytes"], count, conduit, now)
+        got = b.put_batch(src, dst, shape["nbytes"], count, conduit, now)
+    else:
+        args = (shape["nelems"], shape["elem_size"])
+        want = seq_iput(a, src, dst, *args, count, conduit, now, shape["stride_bytes"])
+        got = b.iput_batch(src, dst, *args, count, conduit, now, shape["stride_bytes"])
+    assert got.local_complete.hex() == want.local_complete.hex()
+    assert got.remote_complete.hex() == want.remote_complete.hex()
+    assert timeline_state(a) == timeline_state(b)
 
 
 @pytest.mark.parametrize("conduit_name", CONDUITS)
 @pytest.mark.parametrize("pair", ["intra", "inter"])
 @pytest.mark.parametrize("nbytes", [8, 512, 8192, 65536])  # eager + rendezvous
-@pytest.mark.parametrize("backlog", [False, True])
+@pytest.mark.parametrize("backlog", BACKLOGS)
 def test_put_batch_bit_identical(conduit_name, pair, nbytes, backlog):
     conduit = get_conduit(conduit_name)
-    src, dst = PAIRS[pair]
-    for count in COUNTS:
-        a, b = fresh_model(), fresh_model()
-        preload(a, backlog)
-        preload(b, backlog)
-        want = seq_put(a, src, dst, nbytes, count, conduit, NOW)
-        got = b.put_batch(src, dst, nbytes, count, conduit, NOW)
-        assert got.local_complete == want.local_complete, (conduit_name, pair, nbytes, count)
-        assert got.remote_complete == want.remote_complete
-        assert timeline_state(a) == timeline_state(b)
+    for count in send_counts(pair, backlog):
+        assert_send_matches("put", conduit, count, NOW, backlog, pair=pair, nbytes=nbytes)
 
 
 @pytest.mark.parametrize("conduit_name", CONDUITS)
@@ -120,19 +151,12 @@ def test_get_batch_bit_identical(conduit_name, pair, nbytes, backlog):
 @pytest.mark.parametrize("conduit_name", ["cray-shmem", "dmapp-caf"])
 @pytest.mark.parametrize("pair", ["intra", "inter"])
 @pytest.mark.parametrize("stride_bytes", [8, 160, 4096])
-@pytest.mark.parametrize("backlog", [False, True])
+@pytest.mark.parametrize("backlog", BACKLOGS)
 def test_iput_batch_bit_identical(conduit_name, pair, stride_bytes, backlog):
     conduit = get_conduit(conduit_name)
-    src, dst = PAIRS[pair]
-    for count in COUNTS:
-        a, b = fresh_model(), fresh_model()
-        preload(a, backlog)
-        preload(b, backlog)
-        want = seq_iput(a, src, dst, 25, 8, count, conduit, NOW, stride_bytes)
-        got = b.iput_batch(src, dst, 25, 8, count, conduit, NOW, stride_bytes)
-        assert got.local_complete == want.local_complete
-        assert got.remote_complete == want.remote_complete
-        assert timeline_state(a) == timeline_state(b)
+    for count in send_counts(pair, backlog):
+        assert_send_matches("iput", conduit, count, NOW, backlog, pair=pair,
+                            nelems=25, elem_size=8, stride_bytes=stride_bytes)
 
 
 @pytest.mark.parametrize("conduit_name", ["cray-shmem", "dmapp-caf"])
@@ -149,6 +173,99 @@ def test_iget_batch_bit_identical(conduit_name, pair, backlog):
         got = b.iget_batch(src, dst, 25, 8, count, conduit, NOW, 200)
         assert got == want
         assert timeline_state(a) == timeline_state(b)
+
+
+def count_reserve_batch(monkeypatch):
+    """Count the elements that go through ``Timeline.reserve_batch``."""
+    calls = []
+    original = Timeline.reserve_batch
+
+    def counted(self, earliest, duration):
+        calls.append(int(earliest.shape[0]))
+        return original(self, earliest, duration)
+
+    monkeypatch.setattr(Timeline, "reserve_batch", counted)
+    return calls
+
+
+# The rx closed form needs the spacing margin (o - d for eager puts, o for
+# iputs) to exceed 4 ulps of the last remote completion.  At a clock near
+# 1e9 one ulp is 2**-23 us, so a margin of 3.5 or 4.5 ulps is a real,
+# sub-picosecond spacing that the rounding of each step can eat into.
+BIG_NOW = 1e9 + 0.123
+BIG_ULP = math.ulp(BIG_NOW)
+
+
+@pytest.mark.parametrize("ulps", [3.5, 4.5])
+@pytest.mark.parametrize("op", ["put", "iput"])
+def test_send_ulp_margin(monkeypatch, op, ulps):
+    base = get_conduit("cray-shmem")
+    if op == "put":
+        shape = {"nbytes": 8}
+        d = 8 / (MACHINES["stampede"].link_bandwidth_Bpus * base.bw_efficiency)
+        o = d + ulps * BIG_ULP
+    else:
+        shape = {"nelems": 25, "elem_size": 8, "stride_bytes": 8}
+        o = ulps * BIG_ULP
+    conduit = dataclasses.replace(base, name=f"margin-{op}-{ulps}", o_put_us=o)
+    calls = count_reserve_batch(monkeypatch)
+    assert_send_matches(op, conduit, 200, BIG_NOW, **shape)
+    # Below the margin only the rx side falls back to the array path.
+    assert calls == ([199] if ulps < 4 else [])
+
+
+@st.composite
+def sends(draw):
+    """An inter-node put (with o >= d, the naive phase's shape) or native
+    iput chain on an idle or backlogged pair, from a clock that may sit
+    just below a power of two."""
+    machine = draw(st.sampled_from(sorted(MACHINES)))
+    now = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1e9),
+        st.integers(-20, 30).map(lambda k: math.nextafter(2.0**k, 0.0)),
+    ))
+    count = draw(st.integers(2, 300))
+    backlog = draw(st.sampled_from(BACKLOGS))
+    if draw(st.booleans()):
+        conduit = get_conduit(draw(st.sampled_from(CONDUITS)))
+        bw = MACHINES[machine].link_bandwidth_Bpus * conduit.bw_efficiency
+        top = min(conduit.eager_threshold, int(conduit.o_put_us * bw))
+        return "put", conduit, count, now, backlog, machine, {
+            "nbytes": draw(st.integers(0, top))}
+    conduit = get_conduit(draw(st.sampled_from(["cray-shmem", "dmapp-caf"])))
+    return "iput", conduit, count, now, backlog, machine, {
+        "nelems": draw(st.integers(0, 64)), "elem_size": draw(st.sampled_from([4, 8])),
+        "stride_bytes": draw(st.sampled_from([None, 8, 160, 4096]))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sends())
+@example(case=("put", get_conduit("cray-shmem"), 300, math.nextafter(1024.0, 0.0),
+               False, "stampede", {"nbytes": 8}))
+def test_send_closed_form_property(case):
+    op, conduit, count, now, backlog, machine, shape = case
+    assert_send_matches(op, conduit, count, now, backlog, machine, **shape)
+
+
+def test_idle_eager_chain_reserves_no_batch(monkeypatch):
+    """The naive phase's shape: 50,000 eager puts on idle engines are
+    priced without a per-call array; a backlog still takes the array path."""
+    conduit = get_conduit("cray-shmem")
+
+    def refuse(self, earliest, duration):
+        raise AssertionError("closed-form chain took the array path")
+
+    monkeypatch.setattr(Timeline, "reserve_batch", refuse)
+    idle = fresh_model()
+    idle.put_batch(0, 20, 8, 50_000, conduit, NOW)
+    state = timeline_state(idle)
+    assert state["tx"][0][2] == state["rx"][1][2] == 50_000
+    monkeypatch.undo()
+    calls = count_reserve_batch(monkeypatch)
+    busy = fresh_model()
+    preload(busy, True)
+    busy.put_batch(0, 20, 8, 50_000, conduit, NOW)
+    assert calls == [49_999, 50_000]
 
 
 def test_batch_rejects_nonpositive_count():

@@ -1,7 +1,9 @@
 """Timeline (serialized resource) semantics."""
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,3 +85,34 @@ def test_thread_safety_total_busy():
         th.join()
     assert t.busy_time == pytest.approx(n_threads * per_thread)
     assert t.next_free == pytest.approx(n_threads * per_thread)
+
+
+def test_reserve_chain_is_atomic_under_threads():
+    """Chains priced concurrently on one timeline never interleave.  Each
+    chain starts at the free time its thread last saw, so most take the
+    closed form; a reservation landing between a chain's first call and
+    its ``push_batch`` would overlap the chain and leave ``next_free``
+    short of ``busy_time`` (quarter-microsecond slots keep both exact)."""
+    t = Timeline()
+    n_threads, chains, count, d = 8, 2000, 16, 0.25
+    offsets = d * np.arange(count)
+
+    def worker():
+        for _ in range(chains):
+            e = t.next_free
+            t.reserve_chain(e, d, count, e + count * d, lambda s: s + offsets)
+
+    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    total = n_threads * chains * count
+    assert t.reservations == total
+    assert t.busy_time == t.next_free == total * d
