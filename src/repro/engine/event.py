@@ -94,9 +94,10 @@ class EventEngine(Engine):
         pops = 0
 
         def release(bar, gen: int) -> None:
-            """Depart and reschedule everyone parked in episode ``(bar, gen)``."""
+            """Depart and reschedule everyone parked in episode ``(bar, gen)``.
+            The depart path takes each departer's context as an argument
+            and reads no thread-local one, so the releaser's stays set."""
             for p_pe, p_ctx, p_layer, p_t_start, p_cont in core.release((bar, gen)):
-                set_current(p_ctx)
                 p_layer._barrier_depart(p_ctx, p_t_start, gen, bar)
                 pending[p_pe] = p_cont
                 push(heap, (p_ctx.clock.now, p_pe))

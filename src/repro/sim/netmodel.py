@@ -243,22 +243,34 @@ class NetworkModel:
     # *node* pair, sizes/counts/strides, conduit) plus the initiator
     # clock ``now`` and the mutable timeline state.  The model therefore
     # hands out *pricers*: memoized closures with the now-independent
-    # pieces resolved once (node lookups, wire times, gather gaps,
-    # overhead sums, tiled delta templates, branch selection) that do
-    # only the remaining float additions per call.  Priced times are
-    # NOT cached (they depend on ``now`` and on timeline state, and
-    # float addition is not associative).  The pricers are the model;
-    # the direct methods further down (``put``, ``put_batch``, ...) are
-    # views of them, not a second copy of the arithmetic.
+    # pieces resolved once (wire times, gather gaps, overhead sums,
+    # tiled delta templates, branch selection) that do only the
+    # remaining float additions per call.  Priced times are NOT cached
+    # (they depend on ``now`` and on timeline state, and float addition
+    # is not associative).  The pricers are the model; the direct
+    # methods further down (``put``, ``put_batch``, ...) are views of
+    # them, not a second copy of the arithmetic.
     #
-    # Transfers are built by two makers.  :meth:`_make_send` prices put
-    # and native iput, :meth:`_make_fetch` get and native iget, scalar
-    # (``count == 1``) and batched alike.  The contiguous-vs-strided
-    # distinction is one per-call shape resolved in
-    # :meth:`_transfer_pricer`: a native iput is a put with overhead
-    # ``o_put_us`` (no rendezvous handshake), duration ``wire + gap``
-    # (``gap`` = ``nelems`` x the per-element gather gap), never eager,
-    # and ``+ gap`` on-node; a native iget is a get with duration
+    # A scalar (``count == 1``) pricer serves one *route class*:
+    # (operation, on-node or off-node, sizes, conduit).  Which node pair
+    # it runs on only selects the timelines it reserves, so the nodes
+    # are call arguments, ``price(now, src_node, dst_node)``, and a job
+    # holds a few scalar pricers however many PEs it has.  (Memoized
+    # per node pair, a 1024-PE job hashing its updates over 64 nodes
+    # built a fresh closure on almost every first-touched pair.)  The
+    # per-PE factories ``put_pricer``/``get_pricer``/``iput_pricer``/
+    # ``iget_pricer``/``amo_pricer`` bind a pair to the route pricer and
+    # return ``price(now)``.  Batch pricers (``count >= 2``) keep one
+    # closure per node pair: their chains hold the pair's timelines.
+    #
+    # Transfers are built by two makers each.  :meth:`_make_send1` and
+    # :meth:`_make_send` price put and native iput (scalar, batch),
+    # :meth:`_make_fetch1` and :meth:`_make_fetch` get and native iget.
+    # The contiguous-vs-strided distinction is one per-call shape
+    # resolved in :meth:`_transfer_shape`: a native iput is a put with
+    # overhead ``o_put_us`` (no rendezvous handshake), duration ``wire +
+    # gap`` (``gap`` = ``nelems`` x the per-element gather gap), never
+    # eager, and ``+ gap`` on-node; a native iget is a get with duration
     # ``wire + gap``.
 
     @staticmethod
@@ -288,15 +300,84 @@ class NetworkModel:
             self._pricers[key] = p
         return p
 
+    @staticmethod
+    def _bind(price, src_node: int, dst_node: int):
+        """A route-class pricer as ``price(now)`` on one node pair."""
+        return lambda now: price(now, src_node, dst_node)
+
+    def route_pricer(
+        self,
+        op: str,
+        local: bool,
+        conduit: ConduitProfile,
+        *,
+        nbytes: int = 0,
+        nelems: int = 0,
+        elem_size: int = 0,
+        stride_bytes: int | None = None,
+    ):
+        """Scalar pricer of one route class: ``op`` (``put``/``get``/
+        ``iput``/``iget``) on-node (``local``) or off-node, with the
+        sizes of :meth:`batch_pricer`.  Memoized ``price(now, src_node,
+        dst_node)`` returning what :meth:`put_pricer` and friends'
+        ``price(now)`` return on that node pair."""
+
+        def make():
+            fetch, size, duration, overhead, eager, gap = self._transfer_shape(
+                op, conduit, nbytes, nelems, elem_size, stride_bytes
+            )
+            if fetch:
+                return self._make_fetch1(local, size, conduit, duration)
+            return self._make_send1(local, size, conduit, overhead, duration, eager, gap)
+
+        return self._pricer(
+            (op, local, nbytes, nelems, elem_size, stride_bytes, conduit), make
+        )
+
+    def amo_route_pricer(self, local: bool, conduit: ConduitProfile):
+        """Scalar atomic pricer of one route class (on-node or
+        off-node): memoized ``(price, proc, back)`` with
+        ``price(now, src_node, dst_node)``; see :meth:`amo_pricer`."""
+
+        def make():
+            m = self._machine
+            if local:
+                half, amo, dur = 0.5 * conduit.o_amo_us, self._amo, m.amo_process_us
+
+                def price(now: float, src_node: int, dst_node: int) -> float:
+                    _, end = amo[dst_node].reserve(now + half, dur)
+                    return end
+
+                return price, m.amo_process_us, m.intra_latency_us
+            o, L = conduit.o_amo_us, m.link_latency_us
+            if conduit.amo_offload:
+                amo, dur = self._amo, m.amo_process_us
+
+                def price(now: float, src_node: int, dst_node: int) -> float:
+                    _, end = amo[dst_node].reserve(now + o + L, dur)
+                    return end + L
+
+                return price, m.amo_process_us, L
+            att = m.am_attentiveness_us
+            cpu, dur = self._cpu, m.cpu_am_process_us
+
+            def price(now: float, src_node: int, dst_node: int) -> float:
+                _, end = cpu[dst_node].reserve(now + o + L + att, dur)
+                return end + L
+
+            return price, m.am_attentiveness_us + m.cpu_am_process_us, L
+
+        return self._pricer(("amo", local, conduit), make)
+
     def put_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
         """Pricer for a contiguous put of ``nbytes`` from PE ``src`` to
-        ``dst``: memoized ``price(now) -> TransferTiming``."""
+        ``dst``: ``price(now) -> TransferTiming``."""
         return self._transfer_pricer("put", src, dst, 1, conduit, nbytes)
 
     def get_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
         """Pricer for a blocking get (``src`` reads ``nbytes`` from
-        ``dst``): memoized ``price(now) -> done``, the time the data is
-        available at the initiator."""
+        ``dst``): ``price(now) -> done``, the time the data is available
+        at the initiator."""
         return self._transfer_pricer("get", src, dst, 1, conduit, nbytes)
 
     def iput_pricer(
@@ -310,7 +391,7 @@ class NetworkModel:
     ):
         """Pricer for a *native* 1-D strided put (``shmem_iput``) of
         ``nelems`` elements of ``elem_size`` bytes each, ``stride_bytes``
-        apart: memoized ``price(now) -> TransferTiming``.
+        apart: ``price(now) -> TransferTiming``.
 
         Only meaningful when ``conduit.iput_native``; non-native conduits
         must instead loop over puts — that decision is made by the SHMEM
@@ -331,7 +412,7 @@ class NetworkModel:
         stride_bytes: int | None = None,
     ):
         """Pricer for a *native* blocking 1-D strided get
-        (``shmem_iget``): memoized ``price(now) -> done``.
+        (``shmem_iget``): ``price(now) -> done``.
 
         Like :meth:`get_pricer` but the target NIC pays a per-element
         gather gap.  Only valid for ``conduit.iput_native`` conduits.
@@ -342,8 +423,8 @@ class NetworkModel:
 
     def amo_pricer(self, src: int, dst: int, conduit: ConduitProfile):
         """Pricer for an 8-byte remote atomic (swap/cswap/fadd/...):
-        memoized ``(price, proc, back)`` where ``price(now)`` is the
-        completion time of the fetching round trip.
+        ``(price, proc, back)`` where ``price(now)`` is the completion
+        time of the fetching round trip.
 
         NIC-offloaded conduits serialize on the target NIC's atomic
         unit; AM-emulated ones go through the target CPU and pay its
@@ -353,37 +434,8 @@ class NetworkModel:
         """
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
-
-        def make():
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_amo_us
-                tl, dur = self._amo[dst_node], m.amo_process_us
-
-                def price(now: float) -> float:
-                    _, end = tl.reserve(now + half, dur)
-                    return end
-
-                return price, m.amo_process_us, m.intra_latency_us
-            o, L = conduit.o_amo_us, m.link_latency_us
-            if conduit.amo_offload:
-                tl, dur = self._amo[dst_node], m.amo_process_us
-
-                def price(now: float) -> float:
-                    _, end = tl.reserve(now + o + L, dur)
-                    return end + L
-
-                return price, m.amo_process_us, L
-            att = m.am_attentiveness_us
-            tl, dur = self._cpu[dst_node], m.cpu_am_process_us
-
-            def price(now: float) -> float:
-                _, end = tl.reserve(now + o + L + att, dur)
-                return end + L
-
-            return price, m.am_attentiveness_us + m.cpu_am_process_us, L
-
-        return self._pricer(("amo1", src_node, dst_node, conduit), make)
+        price, proc, back = self.amo_route_pricer(src_node == dst_node, conduit)
+        return self._bind(price, src_node, dst_node), proc, back
 
     def batch_pricer(
         self,
@@ -399,10 +451,10 @@ class NetworkModel:
         stride_bytes: int | None = None,
     ):
         """Pricer for ``count`` identical back-to-back calls of ``op``
-        (``put``/``get``/``iput``/``iget``): memoized ``price(now)``
-        returning the *final* call's timing, with the return type of
-        the scalar pricer and the timeline side effects of ``count``
-        sequential calls (see "batch pricers" below).
+        (``put``/``get``/``iput``/``iget``): ``price(now)`` returning
+        the *final* call's timing, with the return type of the scalar
+        pricer and the timeline side effects of ``count`` sequential
+        calls (see "batch pricers" below).
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -410,45 +462,61 @@ class NetworkModel:
             op, src, dst, count, conduit, nbytes, nelems, elem_size, stride_bytes
         )
 
+    def _transfer_shape(self, op, conduit, nbytes, nelems, elem_size, stride_bytes):
+        """Validate one call of ``op`` and resolve its shape: ``(fetch,
+        size, duration, overhead, eager, gap)``."""
+        strided = op in ("iput", "iget")
+        if strided:
+            if not conduit.iput_native:
+                raise ValueError(
+                    f"{conduit.name} has no native {op}; "
+                    f"caller must loop over {op[1:]}()"
+                )
+            if nelems < 0 or elem_size <= 0:
+                raise ValueError("nelems must be >= 0 and elem_size > 0")
+            size = nelems * elem_size
+            gap = nelems * self._gather_gap(conduit, elem_size, stride_bytes)
+            duration = self._wire_time(size, conduit) + gap
+        elif op in ("put", "get"):
+            if nbytes < 0:
+                raise ValueError("nbytes must be non-negative")
+            size, gap = nbytes, 0.0
+            duration = self._wire_time(size, conduit)
+        else:
+            raise ValueError(f"unknown batch op {op!r}")
+        # Strided source data cannot be eagerly buffered as one block
+        # (the source buffer is free once the descriptor's gather ends),
+        # and one native descriptor needs no rendezvous.
+        eager = not strided and size <= conduit.eager_threshold
+        overhead = conduit.o_put_us
+        if not strided and not eager:
+            overhead += conduit.rendezvous_extra_us
+        return op in ("get", "iget"), size, duration, overhead, eager, gap
+
     def _transfer_pricer(
         self, op, src, dst, count, conduit, nbytes=0, nelems=0, elem_size=0,
         stride_bytes=None,
     ):
-        """The memo lookup behind every transfer factory: validate once,
-        resolve the per-call shape, build through the send or fetch
-        maker.  ``count == 1`` shares its entry with the scalar factory."""
+        """The per-PE-pair view behind every transfer factory: a scalar
+        call binds the pair to its route pricer, a batch is memoized per
+        node pair and built through the batch send or fetch maker."""
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
+        if count == 1:
+            return self._bind(
+                self.route_pricer(
+                    op, src_node == dst_node, conduit, nbytes=nbytes,
+                    nelems=nelems, elem_size=elem_size, stride_bytes=stride_bytes,
+                ),
+                src_node, dst_node,
+            )
 
         def make():
-            strided = op in ("iput", "iget")
-            if strided:
-                if not conduit.iput_native:
-                    raise ValueError(
-                        f"{conduit.name} has no native {op}; "
-                        f"caller must loop over {op[1:]}()"
-                    )
-                if nelems < 0 or elem_size <= 0:
-                    raise ValueError("nelems must be >= 0 and elem_size > 0")
-                size = nelems * elem_size
-                gap = nelems * self._gather_gap(conduit, elem_size, stride_bytes)
-                duration = self._wire_time(size, conduit) + gap
-            elif op in ("put", "get"):
-                if nbytes < 0:
-                    raise ValueError("nbytes must be non-negative")
-                size, gap = nbytes, 0.0
-                duration = self._wire_time(size, conduit)
-            else:
-                raise ValueError(f"unknown batch op {op!r}")
-            if op in ("get", "iget"):
+            fetch, size, duration, overhead, eager, gap = self._transfer_shape(
+                op, conduit, nbytes, nelems, elem_size, stride_bytes
+            )
+            if fetch:
                 return self._make_fetch(src_node, dst_node, size, count, conduit, duration)
-            # Strided source data cannot be eagerly buffered as one block
-            # (the source buffer is free once the descriptor's gather
-            # ends), and one native descriptor needs no rendezvous.
-            eager = not strided and size <= conduit.eager_threshold
-            overhead = conduit.o_put_us
-            if not strided and not eager:
-                overhead += conduit.rendezvous_extra_us
             return self._make_send(
                 src_node, dst_node, size, count, conduit, overhead, duration, eager, gap
             )
@@ -457,6 +525,66 @@ class NetworkModel:
             (op, src_node, dst_node, nbytes, nelems, elem_size, stride_bytes, count, conduit),
             make,
         )
+
+    # -- scalar makers -------------------------------------------------
+
+    def _make_send1(self, local, nbytes, conduit, overhead, duration, eager, gap):
+        """Price one put or native iput on a route class.
+
+        Off-node, the call is ``ready = now + overhead``, a ``duration``
+        on the source node's injection engine, then on the destination
+        node's reception engine ``L`` later; it completes locally at
+        ``ready`` when ``eager``, else at injection end.  On-node it is
+        one closed sum whose last term is the gather ``gap`` (0.0 for a
+        put).
+        """
+        m = self._machine
+        if local:
+            half, lat = 0.5 * conduit.o_put_us, m.intra_latency_us
+            byte_t = nbytes / m.intra_bandwidth_Bpus
+
+            # A put's gap is 0.0, and x + 0.0 == x for every clock (only
+            # -0.0 would change, and no clock is -0.0), so the shared
+            # four-term sum is bit-exact for put and iput.
+            def price(now: float, src_node: int, dst_node: int) -> TransferTiming:
+                done = now + half + lat + byte_t + gap
+                return TransferTiming(local_complete=done, remote_complete=done)
+
+            return price
+        tx, rx, L = self._tx, self._rx, m.link_latency_us
+
+        def price(now: float, src_node: int, dst_node: int) -> TransferTiming:
+            ready = now + overhead
+            tx_start, tx_end = tx[src_node].reserve(ready, duration)
+            _, rx_end = rx[dst_node].reserve(tx_start + L, duration)
+            return TransferTiming(
+                local_complete=ready if eager else tx_end, remote_complete=rx_end
+            )
+
+        return price
+
+    def _make_fetch1(self, local, nbytes, conduit, duration):
+        """Price one blocking get or native iget on a route class.
+
+        Off-node, a request travels ``o_get + L`` to the target, whose
+        injection engine streams ``duration`` back to the initiator's
+        reception engine ``L`` later.  On-node a native iget pays no
+        gather gap, so both ops are the same closed sum.
+        """
+        m = self._machine
+        if local:
+            half, lat = 0.5 * conduit.o_get_us, m.intra_latency_us
+            byte_t = nbytes / m.intra_bandwidth_Bpus
+            return lambda now, src_node, dst_node: now + half + lat + byte_t
+        o_get, L = conduit.o_get_us, m.link_latency_us
+        tx, rx = self._tx, self._rx
+
+        def price(now: float, src_node: int, dst_node: int) -> float:
+            tx_start, _ = tx[dst_node].reserve(now + o_get + L, duration)
+            _, rx_end = rx[src_node].reserve(tx_start + L, duration)
+            return rx_end
+
+        return price
 
     # -- batch pricers -------------------------------------------------
     #
@@ -487,29 +615,12 @@ class NetworkModel:
     def _make_send(
         self, src_node, dst_node, nbytes, count, conduit, overhead, duration, eager, gap
     ):
-        """Price ``count`` back-to-back puts or native iputs.
-
-        Inter-node, one call is ``ready = now + overhead``, a ``duration``
-        on the source injection engine, then on the destination reception
-        engine ``L`` later; it completes locally at ``ready`` when
-        ``eager``, else at injection end.  On-node it is one closed sum
-        whose last term is the gather ``gap`` (0.0 for a put).
-        """
+        """Price ``count >= 2`` back-to-back puts or native iputs; one
+        call is what :meth:`_make_send1` prices."""
         m = self._machine
         if src_node == dst_node:
             period = (0.5 * conduit.o_put_us, m.intra_latency_us,
                       nbytes / m.intra_bandwidth_Bpus, gap)
-            if count == 1:
-                half, lat, byte_t, _ = period
-
-                # A put's gap is 0.0, and x + 0.0 == x for every clock
-                # (only -0.0 would change, and no clock is -0.0), so the
-                # shared four-term sum is bit-exact for put and iput.
-                def price(now: float) -> TransferTiming:
-                    done = now + half + lat + byte_t + gap
-                    return TransferTiming(local_complete=done, remote_complete=done)
-
-                return price
 
             def price(now: float) -> TransferTiming:
                 done = chain_last(now, period, count)
@@ -517,17 +628,6 @@ class NetworkModel:
 
             return price
         tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-        if count == 1:
-
-            def price(now: float) -> TransferTiming:
-                ready = now + overhead
-                tx_start, tx_end = tx.reserve(ready, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return TransferTiming(
-                    local_complete=ready if eager else tx_end, remote_complete=rx_end
-                )
-
-            return price
         # Call k is ready at ready_k = ready_{k-1} + o when eager, else at
         # tx_end_{k-1} + o.  Either way only the first call can queue on
         # the injection engine (for eager calls if o >= d: rounding is
@@ -573,32 +673,17 @@ class NetworkModel:
         return price
 
     def _make_fetch(self, src_node, dst_node, nbytes, count, conduit, duration):
-        """Price ``count`` back-to-back blocking gets or native igets.
-
-        Inter-node, a request travels ``o_get + L`` to the target, whose
-        injection engine streams ``duration`` back to the initiator's
-        reception engine ``L`` later.  On-node a native iget pays no
-        gather gap, so both ops are the same closed sum.
-        """
+        """Price ``count >= 2`` back-to-back blocking gets or native
+        igets; one call is what :meth:`_make_fetch1` prices."""
         m = self._machine
         if src_node == dst_node:
             period = (0.5 * conduit.o_get_us, m.intra_latency_us,
                       nbytes / m.intra_bandwidth_Bpus)
-            if count == 1:
-                half, lat, byte_t = period
-                return lambda now: now + half + lat + byte_t
             return lambda now: chain_last(now, period, count)
-        o_get = conduit.o_get_us
-        tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        if count == 1:
-
-            def price(now: float) -> float:
-                tx_start, _ = tx.reserve(now + o_get + L, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return rx_end
-
-            return price
-        return self._make_fetch_chain(tx, rx, o_get, L, duration, count)
+        return self._make_fetch_chain(
+            self._tx[dst_node], self._rx[src_node], conduit.o_get_us,
+            m.link_latency_us, duration, count,
+        )
 
     @staticmethod
     def _make_fetch_chain(tx, rx, o_get, L, duration, count):

@@ -1,6 +1,7 @@
 """repro.bench.scale: step-program workloads, engine gate, flatness gate."""
 
 from repro.bench import scale
+from repro.shmem import attach as shmem_attach
 
 
 def test_small_equivalence_gate_is_bitwise():
@@ -40,3 +41,24 @@ def test_flatness_ratio_and_gate(capsys):
     assert scale.main([*argv, "--max-flatness", "1000"]) == 0
     assert scale.main([*argv, "--max-flatness", "0.01"]) == 1
     assert "FLATNESS: himeno" in capsys.readouterr().out
+
+
+def test_scalar_pricer_memo_does_not_grow_with_pe_count(monkeypatch):
+    """The dht loop sends every atomic and put to a hashed owner, so at
+    1024 PEs (64 nodes) almost every op touches a fresh PE pair.  Scalar
+    pricers are memoized per route class (op, on-node or off-node,
+    sizes), so the layer and the model hold as many entries as at 64."""
+    layers = []
+
+    def attach(job):
+        layers.append(shmem_attach(job))
+        return layers[-1]
+
+    monkeypatch.setattr(scale, "shmem_attach", attach)
+    counts = {}
+    for pes in (64, 1024):
+        scale.run_workload("dht", pes, engine="event")
+        layer = layers[-1]
+        counts[pes] = (len(layer._pricers), len(layer.job.network._pricers))
+    # fadd and 8-byte put, each on-node and off-node
+    assert counts[64] == counts[1024] == (4, 4)

@@ -248,9 +248,22 @@ def test_direct_methods_are_views_of_the_pricers(golden):
 
 
 def test_pricer_cache_reuses_closures():
+    """Scalar pricers are memoized per route class, not per node pair:
+    every off-node pair shares one closure, the on-node pairs another."""
     model = fresh_model()
     conduit = get_conduit("cray-shmem")
-    assert model.put_pricer(0, 17, 64, conduit) is model.put_pricer(0, 17, 64, conduit)
-    # same node pair through different PEs -> same closure
-    assert model.put_pricer(1, 18, 64, conduit) is model.put_pricer(0, 17, 64, conduit)
-    assert model.amo_pricer(0, 17, conduit) is model.amo_pricer(0, 17, conduit)
+    put = model.route_pricer("put", False, conduit, nbytes=64)
+    assert model.route_pricer("put", False, conduit, nbytes=64) is put
+    assert model.route_pricer("put", True, conduit, nbytes=64) is not put
+    assert model.route_pricer("put", False, conduit, nbytes=65) is not put
+    amo = model.amo_route_pricer(False, conduit)
+    assert model.amo_route_pricer(False, conduit) is amo
+    # Pricing through the per-PE views of many pairs builds nothing more.
+    before = len(model._pricers)
+    for src, dst in ((0, 17), (1, 18), (20, 40), (47, 0)):
+        model.put_pricer(src, dst, 64, conduit)(NOW)
+        model.amo_pricer(src, dst, conduit)[0](NOW)
+    assert len(model._pricers) == before
+    # The view prices through the shared closure on its own node pair.
+    timing = model.put_pricer(20, 40, 64, conduit)(NOW)
+    assert model.timelines()["rx"][2].next_free == timing.remote_complete
