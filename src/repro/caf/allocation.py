@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.caf.runtime import CafError, CafRuntime
 from repro.runtime.context import current
+from repro.util.allocator import array_nbytes
 from repro.util.bitpack import RemotePointer, pack_remote_pointer, unpack_remote_pointer
 
 
@@ -33,7 +34,7 @@ class ManagedObject:
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.owner_image = runtime.this_image()
-        nbytes = max(1, int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize)
+        nbytes = max(1, array_nbytes(self.shape, self.dtype.itemsize))
         self.nbytes = nbytes
         self.offset = runtime.managed_alloc(current().pe, nbytes)
         self._freed = False
@@ -103,12 +104,10 @@ def get_remote(
     dt = np.dtype(dtype)
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
-    nelems = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    nbytes = array_nbytes(shape, dt.itemsize)
     if ptr.offset % dt.itemsize:
         raise CafError(f"remote pointer offset {ptr.offset} misaligned for {dt}")
-    data = rt.layer.get(
-        rt.managed_u8, nelems * dt.itemsize, ptr.image - 1, offset=ptr.offset
-    )
+    data = rt.layer.get(rt.managed_u8, nbytes, ptr.image - 1, offset=ptr.offset)
     return data.view(dt).reshape(shape)
 
 

@@ -40,7 +40,7 @@ from repro.runtime.context import PEContext, current
 from repro.runtime.failures import STAT_FAILED_IMAGE, ImageFailedError
 from repro.runtime.launcher import Job
 from repro.sim.netmodel import ConduitProfile
-from repro.util.allocator import FreeListAllocator
+from repro.util.allocator import FreeListAllocator, array_nbytes
 from repro.util.bitpack import MAX_OFFSET
 
 LAYER_NAME = "caf"
@@ -364,7 +364,7 @@ class CafRuntime:
             shape = (int(shape),)
         shape = tuple(int(x) for x in shape)
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
+        nbytes = array_nbytes(shape, dt.itemsize)
         self.layer.engine.alloc_check(current())
         offset = self.agree(
             f"team{team.team_number}.alloc:{shape}:{dt.str}",
@@ -515,7 +515,7 @@ class CafRuntime:
             data = np.broadcast_to(np.asarray(value, dtype=handle.dtype), rshape)
             target[key] = data.reshape(target[key].shape)
             ctx = current()
-            ctx.clock.advance(self._ptr_cost(int(np.prod(rshape, dtype=np.int64)) * handle.itemsize if rshape else handle.itemsize))
+            ctx.clock.advance(self._ptr_cost(array_nbytes(rshape, handle.itemsize)))
             self.my_stats["ptr_put_calls"] += 1
             return
         off = _element_index(shape, key) if algorithm is None else None

@@ -18,11 +18,22 @@ bytes (default 16, enough for any NumPy scalar dtype).
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 
 
 class OutOfMemoryError(MemoryError):
     """Raised when an allocation cannot be satisfied."""
+
+
+def array_nbytes(shape, itemsize: int) -> int:
+    """Exact byte size of an array of ``shape`` (``()`` is one element).
+
+    Python integers, so a huge shape stays huge and the allocator
+    refuses it; an ``int64`` product would wrap at 2**63 (or to 0) and
+    hand out a tiny block that later accesses overrun.
+    """
+    return math.prod(map(int, shape)) * itemsize
 
 
 def _align_up(value: int, alignment: int) -> int:
