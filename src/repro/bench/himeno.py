@@ -63,9 +63,12 @@ class HimenoCoefficients:
     Himeno carries arrays a(4), b(3), c(3), plus wrk1 and bnd; the
     official initialization makes them spatially constant — a =
     (1, 1, 1, 1/6), b = 0, c = 1, wrk1 = 0, bnd = 1 — which reduces the
-    19-point stencil to the 6-neighbour sum, but the full formula (and
-    its 34 flops/cell count) is what gets evaluated here so non-standard
-    coefficients exercise every term.
+    19-point stencil to the 6-neighbour sum.  The sweep folds exactly
+    those identities on the host (a factor of 1.0, a b-group or wrk1 of
+    0.0, bnd of 1.0; see ``_jacobi_sweep``), so the standard set makes
+    11 array passes, and any other value evaluates its term of the full
+    formula.  The virtual clock is charged the official 34 flops/cell
+    either way.
     """
 
     a0: float = 1.0
@@ -105,31 +108,53 @@ def _jacobi_sweep(
     evaluated left to right, one ufunc at a time, into ``work`` (a
     ``(2, *interior)`` float64 buffer, allocated here if not given); the
     new interior returned is ``work[0]``.
+
+    Exact identities are folded per term, in the same order: a term
+    whose coefficient is 1.0 is added as the view itself (``1.0 * x ==
+    x``), so a0 = a1 = 1 starts ``s0`` as ``E + N``; a b-group or wrk1
+    of 0.0 is skipped, and bnd = 1.0 skips its multiply; a3 always
+    multiplies.  Adding ``0.0 * finite`` changes at most the sign of a
+    zero, which the residual (a sum of squares) cannot show and ``p +
+    omega * ss`` shows only where ``p`` holds a -0.0 (never on Himeno's
+    non-negative fields), so for finite ``p`` the result equals the
+    unfolded formula's value for value.  The standard coefficients take
+    11 array passes instead of 34.
     """
     c = p[1:-1, 1:-1, 1:-1]
     if work is None:
         work = np.empty((2, *c.shape))
     s, t = work
-    np.multiply(coef.a0, p[2:, 1:-1, 1:-1], out=s)
-    for k, term in ((coef.a1, p[1:-1, 2:, 1:-1]), (coef.a2, p[1:-1, 1:-1, 2:])):
-        s += np.multiply(k, term, out=t)
+    east, north, up = p[2:, 1:-1, 1:-1], p[1:-1, 2:, 1:-1], p[1:-1, 1:-1, 2:]
+    if coef.a0 == 1.0 and coef.a1 == 1.0:
+        np.add(east, north, out=s)
+        terms = ((coef.a2, up),)
+    else:
+        np.multiply(coef.a0, east, out=s)
+        terms = ((coef.a1, north), (coef.a2, up))
+    for k, term in terms:
+        s += term if k == 1.0 else np.multiply(k, term, out=t)
     for k, pp, pm, mp, mm in (
         (coef.b0, p[2:, 2:, 1:-1], p[2:, :-2, 1:-1], p[:-2, 2:, 1:-1], p[:-2, :-2, 1:-1]),
         (coef.b1, p[1:-1, 2:, 2:], p[1:-1, :-2, 2:], p[1:-1, 2:, :-2], p[1:-1, :-2, :-2]),
         (coef.b2, p[2:, 1:-1, 2:], p[:-2, 1:-1, 2:], p[2:, 1:-1, :-2], p[:-2, 1:-1, :-2]),
     ):
+        if k == 0.0:
+            continue
         np.subtract(pp, pm, out=t)
         t -= mp
         t += mm
-        s += np.multiply(k, t, out=t)
+        s += t if k == 1.0 else np.multiply(k, t, out=t)
     for k, term in (
         (coef.c0, p[:-2, 1:-1, 1:-1]), (coef.c1, p[1:-1, :-2, 1:-1]), (coef.c2, p[1:-1, 1:-1, :-2]),
     ):
-        s += np.multiply(k, term, out=t)
-    s += coef.wrk1
+        s += term if k == 1.0 else np.multiply(k, term, out=t)
+    if coef.wrk1 != 0.0:
+        s += coef.wrk1
     s *= coef.a3
     s -= c
-    s *= coef.bnd  # s is now ss
+    if coef.bnd != 1.0:
+        s *= coef.bnd
+    # s is now ss
     gosa = float(np.sum(np.multiply(s, s, out=t)))
     np.multiply(omega, s, out=t)
     return np.add(c, t, out=s), gosa
@@ -144,9 +169,10 @@ def himeno_serial(
     """Reference solver (no decomposition); returns (pressure, last gosa)."""
     nx, ny, nz = grid
     p = _initial_pressure(nx, ny, nz)
+    work = np.empty((2, nx - 2, ny - 2, nz - 2))
     gosa = 0.0
     for _ in range(iterations):
-        new, gosa = _jacobi_sweep(p, omega, coef)
+        new, gosa = _jacobi_sweep(p, omega, coef, work)
         p[1:-1, 1:-1, 1:-1] = new
     return p, gosa
 

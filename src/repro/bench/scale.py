@@ -66,8 +66,16 @@ from repro.trace.events import attach as trace_attach
 SCALE_HEAP_BYTES = 1 << 15
 
 DEFAULT_PES = (64, 256, 1024, 4096)
-#: Sweep rows keep the fastest of this many runs (a 64-PE run is ~5 ms).
-SWEEP_REPEATS = 3
+#: A sweep point is timed in samples: back-to-back runs totalling at
+#: least ``SAMPLE_MIN_WALL_S``, read as their mean.  The points take
+#: samples in turn until each has ``SWEEP_MIN_SAMPLES`` totalling
+#: ``SWEEP_MIN_WALL_S``; its row is the median sample.  Host speed
+#: drifts by tens of percent over tens of milliseconds, so the fastest
+#: of many ~7 ms 64-PE runs catches short fast windows that a ~130 ms
+#: 1024-PE run averages over, and made the flatness ratio noise-bound.
+SAMPLE_MIN_WALL_S = 0.1
+SWEEP_MIN_SAMPLES = 3
+SWEEP_MIN_WALL_S = 0.6
 GATE_PES = 64
 
 _DHT_SLOTS = 32
@@ -271,27 +279,53 @@ def equivalence_gate(num_pes: int = GATE_PES, iters: int = 2) -> dict:
     return gate
 
 
+def _sample(workload: str, num_pes: int, iters: int) -> dict:
+    """One timing sample of a sweep point: back-to-back runs until they
+    total ``SAMPLE_MIN_WALL_S``.  Returns the first run's record, timed
+    as their mean, with ``runs`` set to their count."""
+    kwargs = {"single_writer": False} if workload == "dht" else {}
+    runs = []
+    while not runs or sum(r["wall_s"] for r in runs) < SAMPLE_MIN_WALL_S:
+        gc.collect()  # the previous Job (a cycle), outside the timing
+        runs.append(run_workload(workload, num_pes, engine="event", iters=iters, **kwargs))
+    rec = runs[0]
+    wall_s = sum(r["wall_s"] for r in runs) / len(runs)
+    rec["wall_s"] = round(wall_s, 6)
+    rec["wall_us_per_pe_step"] = round(wall_s * 1e6 / (num_pes * rec["steps_per_pe"]), 3)
+    rec["runs"] = len(runs)
+    return rec
+
+
 def sweep(
     pes_list=DEFAULT_PES, *, iters: int = 2, quick: bool = False
 ) -> list[dict]:
-    """Event-engine weak-scaling sweep; one record (the fastest of
-    ``SWEEP_REPEATS`` runs) per (workload, size)."""
+    """Event-engine weak-scaling sweep; one record per (workload, size),
+    the median of its samples (see ``SAMPLE_MIN_WALL_S``), with
+    ``samples`` and ``repeats`` (runs over all samples) counted."""
     if quick:
         iters = min(iters, 2)
+    points: dict[tuple[str, int], list[dict]] = {
+        (workload, num_pes): [] for num_pes in pes_list for workload in ("himeno", "dht")
+    }
+
+    def done(samples: list[dict]) -> bool:
+        return (len(samples) >= SWEEP_MIN_SAMPLES
+                and sum(r["wall_s"] * r["runs"] for r in samples) >= SWEEP_MIN_WALL_S)
+
+    # Round-robin, so every size samples the same stretch of host time.
+    while not all(map(done, points.values())):
+        for (workload, num_pes), samples in points.items():
+            if not done(samples):
+                samples.append(_sample(workload, num_pes, iters))
     records: list[dict] = []
-    for num_pes in pes_list:
-        for workload, kwargs in (("himeno", {}), ("dht", {"single_writer": False})):
-            runs = []
-            for _ in range(SWEEP_REPEATS):
-                gc.collect()  # the previous Job (a cycle), outside the timing
-                runs.append(run_workload(
-                    workload, num_pes, engine="event", iters=iters, **kwargs
-                ))
-            rec = min(runs, key=lambda r: r["wall_s"])
-            rec["repeats"] = SWEEP_REPEATS
-            rec.pop("results")
-            rec.pop("digest")
-            records.append(rec)
+    for samples in points.values():
+        samples.sort(key=lambda r: r["wall_s"])
+        rec = samples[(len(samples) - 1) // 2]
+        rec["samples"] = len(samples)
+        rec["repeats"] = sum(r["runs"] for r in samples)
+        for key in ("runs", "results", "digest"):
+            rec.pop(key)
+        records.append(rec)
     return records
 
 

@@ -1,11 +1,16 @@
 """Himeno: numerical correctness vs the serial reference + Fig 10 shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import harness as H
 from repro.bench.himeno import (
     GRID_SIZES,
+    HimenoCoefficients,
     _initial_pressure,
     _jacobi_sweep,
     _split,
@@ -144,3 +149,72 @@ def test_distributed_full_stencil_with_cross_terms():
         "stampede", H.UHCAF_MV2X_SHMEM, 4, grid=grid, iterations=3, coef=coef
     )
     assert result.gosa == pytest.approx(serial_gosa, rel=1e-12)
+
+
+def _unfolded_sweep(p, omega, coef):
+    """The sweep before identity folding: every term multiplied by its
+    coefficient, every b-group and wrk1 added, bnd always applied (34
+    array passes whatever the coefficients)."""
+    c = p[1:-1, 1:-1, 1:-1]
+    s, t = np.empty((2, *c.shape))
+    np.multiply(coef.a0, p[2:, 1:-1, 1:-1], out=s)
+    for k, term in ((coef.a1, p[1:-1, 2:, 1:-1]), (coef.a2, p[1:-1, 1:-1, 2:])):
+        s += np.multiply(k, term, out=t)
+    for k, pp, pm, mp, mm in (
+        (coef.b0, p[2:, 2:, 1:-1], p[2:, :-2, 1:-1], p[:-2, 2:, 1:-1], p[:-2, :-2, 1:-1]),
+        (coef.b1, p[1:-1, 2:, 2:], p[1:-1, :-2, 2:], p[1:-1, 2:, :-2], p[1:-1, :-2, :-2]),
+        (coef.b2, p[2:, 1:-1, 2:], p[:-2, 1:-1, 2:], p[2:, 1:-1, :-2], p[:-2, 1:-1, :-2]),
+    ):
+        np.subtract(pp, pm, out=t)
+        t -= mp
+        t += mm
+        s += np.multiply(k, t, out=t)
+    for k, term in (
+        (coef.c0, p[:-2, 1:-1, 1:-1]), (coef.c1, p[1:-1, :-2, 1:-1]), (coef.c2, p[1:-1, 1:-1, :-2]),
+    ):
+        s += np.multiply(k, term, out=t)
+    s += coef.wrk1
+    s *= coef.a3
+    s -= c
+    s *= coef.bnd
+    gosa = float(np.sum(np.multiply(s, s, out=t)))
+    np.multiply(omega, s, out=t)
+    return np.add(c, t, out=s), gosa
+
+
+_scale = st.floats(-4.0, 4.0).filter(lambda x: x not in (0.0, 1.0))
+
+
+@st.composite
+def _sweep_case(draw):
+    """A small non-negative field and a coefficient set.  Each
+    coefficient is, independently, an identity the sweep folds (0.0 or
+    1.0) or a finite value it must multiply by; the kinds come from a
+    seeded generator because Hypothesis' own draws tend to move
+    together.  a3 and bnd scale the whole of ``ss``, so 0.0 there would
+    zero it and hide every other term.  A share of the field's cells is
+    exactly 0.0, where a skipped ``0.0 * term`` could flip a sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.tuples(*[st.integers(3, 6)] * 3))
+    p = rng.uniform(0.0, 8.0, shape)
+    p[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    values = {}
+    for f in dataclasses.fields(HimenoCoefficients):
+        kinds = (1.0, None) if f.name in ("a3", "bnd") else (0.0, 1.0, None)
+        kind = kinds[rng.integers(len(kinds))]
+        values[f.name] = draw(_scale) if kind is None else kind
+    return p, HimenoCoefficients(**values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_sweep_case())
+def test_folded_sweep_equals_unfolded_on_mixed_coefficients(case):
+    """Every mix of folded and evaluated terms gives the unfolded
+    sweep's values and the same residual bits, and leaves ``p`` alone."""
+    p, coef = case
+    before = p.tobytes()
+    new, gosa = _jacobi_sweep(p, 0.7, coef)
+    assert p.tobytes() == before
+    ref_new, ref_gosa = _unfolded_sweep(p, 0.7, coef)
+    assert np.array_equal(new, ref_new)
+    assert float(gosa).hex() == float(ref_gosa).hex()

@@ -28,7 +28,11 @@ def test_wall_columns_agree_to_a_hundredth_of_a_microsecond():
     assert abs(rec["wall_s"] * 1e6 / steps - rec["wall_us_per_pe_step"]) < 0.01
 
 
-def test_flatness_ratio_and_gate(capsys):
+def test_flatness_ratio_and_gate(capsys, monkeypatch):
+    # One run per sample, three samples per point: this test is about
+    # the gate's verdict, not the timing floors.
+    monkeypatch.setattr(scale, "SAMPLE_MIN_WALL_S", 0.0)
+    monkeypatch.setattr(scale, "SWEEP_MIN_WALL_S", 0.0)
     records = [
         {"workload": "himeno", "pes": 64, "wall_us_per_pe_step": 8.0},
         {"workload": "himeno", "pes": 1024, "wall_us_per_pe_step": 10.0},
@@ -41,6 +45,41 @@ def test_flatness_ratio_and_gate(capsys):
     assert scale.main([*argv, "--max-flatness", "1000"]) == 0
     assert scale.main([*argv, "--max-flatness", "0.01"]) == 1
     assert "FLATNESS: himeno" in capsys.readouterr().out
+
+
+def test_sweep_rows_are_median_samples_taken_in_turn(monkeypatch):
+    """A sample is back-to-back runs totalling SAMPLE_MIN_WALL_S; the
+    points sample in turn until each has SWEEP_MIN_SAMPLES totalling
+    SWEEP_MIN_WALL_S; the row is the median sample."""
+    monkeypatch.setattr(scale, "SAMPLE_MIN_WALL_S", 0.1)
+    monkeypatch.setattr(scale, "SWEEP_MIN_SAMPLES", 3)
+    monkeypatch.setattr(scale, "SWEEP_MIN_WALL_S", 0.6)
+    # 64 PEs: three runs per sample, five samples to pass 0.6 s.
+    # 1024 PEs: one run per sample, three samples.
+    walls = {
+        64: [0.045] * 3 + [0.048] * 3 + [0.04] * 3 + [0.049] * 3 + [0.046] * 3,
+        1024: [0.25, 0.35, 0.3],
+    }
+    queues = {}
+    calls = []
+
+    def fake_run(workload, num_pes, **kwargs):
+        calls.append((workload, num_pes))
+        wall = queues.setdefault((workload, num_pes), iter(walls[num_pes]))
+        return {"workload": workload, "pes": num_pes, "results": [], "digest": None,
+                "wall_s": next(wall), "steps_per_pe": 9}
+
+    monkeypatch.setattr(scale, "run_workload", fake_run)
+    rows = {(r["workload"], r["pes"]): r for r in scale.sweep((64, 1024))}
+    h64, d64, h1024, d1024 = ("himeno", 64), ("dht", 64), ("himeno", 1024), ("dht", 1024)
+    assert calls[:8] == [h64] * 3 + [d64] * 3 + [h1024, d1024]
+    for workload in ("himeno", "dht"):
+        row = rows[workload, 64]
+        assert (row["wall_s"], row["samples"], row["repeats"]) == (0.046, 5, 15)
+        assert row["wall_us_per_pe_step"] == round(0.046e6 / (64 * 9), 3)
+        row = rows[workload, 1024]
+        assert (row["wall_s"], row["samples"], row["repeats"]) == (0.3, 3, 3)
+        assert not {"runs", "results", "digest"} & set(row)
 
 
 def test_scalar_pricer_memo_does_not_grow_with_pe_count(monkeypatch):
