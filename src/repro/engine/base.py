@@ -42,6 +42,7 @@ pass-throughs, keeping the no-fault fast path at one function call.
 
 from __future__ import annotations
 
+import threading
 import typing
 from typing import Any, Callable
 
@@ -117,6 +118,13 @@ class Engine:
     #: deliveries (:meth:`deposit`, cooperative).  Layers cache this as
     #: a plain boolean so the eager hot path never builds a closure.
     eager_delivery = True
+
+    #: What builds each barrier's condition (``VirtualBarrier``): its
+    #: arrivals lock and notify it because the threaded engine's
+    #: :meth:`barrier_wait` waits on it.  The deterministic engines set
+    #: None: their arrivers park in the engine, so an arrival takes no
+    #: lock and sends no notify.
+    barrier_cond = threading.Condition
 
     def __init__(self) -> None:
         self.job: "Job | None" = None

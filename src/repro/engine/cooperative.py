@@ -12,9 +12,12 @@ runs PE *i* to its next decision point, ``n<i>`` delivers initiator
 *i*'s oldest put; the choice list is the runnable ``p`` tokens, then
 the pending ``n`` tokens, each in ascending PE order.  Under
 ``VirtualTimeOrder`` no list is built: its pick comes off a ``(clock,
-PE)`` heap of the runnable PEs.  A blocked task waits in the
-:class:`~repro.engine.sched.ParkCore` shared with the event engine
-until its wake source fires and its predicate holds.
+PE)`` heap of the runnable PEs, and a turn holder that is still the
+least keeps its turn without taking the engine lock.  A switch is one
+``Condition`` hand-off: the picker grants the next PE its turn and
+waits on its own condition, which releases the engine lock.  A blocked
+task waits in the :class:`~repro.engine.sched.ParkCore` shared with the
+event engine until its wake source fires and its predicate holds.
 
 :mod:`repro.explore` re-exports the class as ``Scheduler``; this module
 must not import that package (its ``__init__`` pulls in ``caf``).
@@ -59,6 +62,9 @@ class CooperativeEngine(ThreadRunMixin, Engine):
     name = "cooperative"
     #: Puts become separately-schedulable deliveries (weak completion).
     eager_delivery = False
+    #: One PE runs at a time and barrier arrivers park in the engine, so
+    #: an arrival locks and notifies nothing.
+    barrier_cond = None
 
     def __init__(self, strategy, *, max_steps: int | None = None) -> None:
         super().__init__()
@@ -72,7 +78,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         #: path (deadlock among the survivors): ``(pe, exception)``.
         self.failure: tuple[int, BaseException] | None = None
         self._lock = threading.Lock()
-        self._events: list[threading.Event] = []
+        self._conds: list[threading.Condition] = []  # per PE, on the engine lock
         self._queues: list[deque] = []
         self._registered: set[int] = set()
         self._finished: set[int] = set()
@@ -91,12 +97,14 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         from repro.explore.scheduler import VirtualTimeOrder  # late: it imports this module
 
         # A subclass may override choose, so only the class itself gets the heap.
-        vt = type(self.strategy) is VirtualTimeOrder
+        vt = self._vt = type(self.strategy) is VirtualTimeOrder
         if vt:
             self._pick = self._pick_vt
+        self._aborted = job._abort.is_set  # read at every decision
         self._pending: list[int] | None = [] if vt else None  # initiators, a lazy min-heap
         self._cur: int | None = None  # the PE whose turn it is
-        self._events = [threading.Event() for _ in range(n)]
+        self._conds = [threading.Condition(self._lock) for _ in range(n)]
+        self._granted = [False] * n  # set by the picker, cleared by the woken PE
         self._queues = [deque() for _ in range(n)]
         self._ptok = [f"p{t}" for t in range(n)]
         self._ntok = [f"n{t}" for t in range(n)]
@@ -119,9 +127,10 @@ class CooperativeEngine(ThreadRunMixin, Engine):
     ) -> None:
         """The running PE is about to issue ``op``; let the strategy
         decide who proceeds."""
-        if self.job.aborted():
+        if self._aborted():
             raise JobAborted(f"job aborted at {op} decision point")
-        self._hand_off(pe, spin)
+        if not (self._vt and self._keeps_turn(pe)):
+            self._hand_off(pe, spin)
 
     # -- delivery -------------------------------------------------------
     def deposit(self, ctx, deliver: Callable[[], None]) -> None:
@@ -133,8 +142,10 @@ class CooperativeEngine(ThreadRunMixin, Engine):
 
     def drain(self, ctx) -> None:
         """``quiet``: deliver every pending put of ``ctx.pe``, in order."""
+        q = self._queues[ctx.pe]
+        if not q:
+            return  # only the turn holder touches its own queue
         with self._lock:
-            q = self._queues[ctx.pe]
             self._counts["deliveries"] += len(q)
             while q:
                 q.popleft()()
@@ -148,9 +159,12 @@ class CooperativeEngine(ThreadRunMixin, Engine):
         ``(barrier, generation)`` episode (once the generation moves; the
         report names it by that key), or ``None`` (every step).
         """
-        if self.job.aborted():
+        if self._aborted():
             raise JobAborted(f"job aborted entering {reason or 'block'}")
-        self._hand_off(pe, False, (predicate, reason, wake))
+        if not predicate():
+            self._hand_off(pe, False, (predicate, reason, wake))
+        elif not (self._vt and self._keeps_turn(pe)):
+            self._hand_off(pe, False)
 
     def barrier_wait(self, ctx, barrier, gen: int) -> None:
         self.block_until(ctx.pe, lambda: barrier._generation != gen,
@@ -185,7 +199,7 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 heapify(self._ready)
                 if self._switch(pe):
                     return
-        self._await_turn(pe)
+            self._await_turn(pe)
 
     def _task_exit(self, pe: int) -> None:
         """Final call from each PE thread (normal return or unwind).
@@ -226,12 +240,31 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                 failures.append(self.failure)
 
     # -- internals ------------------------------------------------------
+    def _keeps_turn(self, pe: int) -> bool:
+        """Count a ``VirtualTimeOrder`` decision without the engine lock
+        when :meth:`_pick_vt` could only pick ``pe`` again: ``pe`` holds the
+        turn, no put is pending, nothing :meth:`ParkCore.ready` could wake,
+        its ``(clock, PE)`` is below the ready heap's top, and a step is
+        left.  Only the turn holder runs, so the state it reads is stable."""
+        if self._cur != pe or self._pending or self.steps >= self.max_steps:
+            return False
+        core, ready = self._core, self._ready
+        if core.dirty or core.polled or (
+                core.episodes and any(bar._generation != gen for bar, gen in core.episodes)):
+            return False
+        if ready and not (self._clocks[pe].now, pe) < ready[0]:
+            return False
+        self.steps += 1
+        self.trace.append(self._ptok[pe])
+        return True
+
     def _hand_off(self, pe: int, spin: bool, wait: tuple | None = None) -> None:
         """Let the strategy pick who runs next; returns once it is ``pe``
-        again.  A failing ``(predicate, reason, wake)`` ``wait`` parks ``pe``."""
+        again.  A ``(predicate, reason, wake)`` ``wait`` (its predicate
+        just failed) parks ``pe``."""
         with self._lock:
             self.strategy.note_yield(self._ptok[pe], spin)
-            if wait is not None and not wait[0]():
+            if wait is not None:
                 predicate, reason, wake = wait
                 self._runnable[pe] = False
                 if isinstance(wake, tuple):
@@ -240,18 +273,18 @@ class CooperativeEngine(ThreadRunMixin, Engine):
                     self._core.park_value(pe, predicate, reason)
                 else:
                     self._core.park_polled(pe, predicate, reason)
-            if self._switch(pe):
-                return
-        self._await_turn(pe)
+            if not self._switch(pe):
+                self._await_turn(pe)
 
     def _switch(self, pe: int) -> bool:
-        """Pick who runs next and wake it (lock held); True if it is ``pe``."""
+        """Pick who runs next and grant it the turn (lock held); True if it is ``pe``."""
         nxt = self._pick()
         if nxt == pe:
             return True
         if nxt is not None:
             self._counts["switches"] += 1
-            self._events[nxt].set()
+            self._granted[nxt] = True
+            self._conds[nxt].notify()
         return False
 
     def _choices(self) -> list[str]:
@@ -333,17 +366,22 @@ class CooperativeEngine(ThreadRunMixin, Engine):
             return pe
 
     def _wake_all(self) -> None:
-        for ev in self._events:
-            ev.set()
+        """Wake every waiting PE (lock held); each sees the abort."""
+        for cond in self._conds:
+            cond.notify()
 
     def _await_turn(self, pe: int) -> None:
-        ev = self._events[pe]
-        aborted = self.job.aborted
-        with self.job.watchdog.watch(pe, "scheduler wait") as guard:
-            while not ev.wait(timeout=0.1):
-                if aborted():
-                    raise JobAborted("job aborted while awaiting schedule turn")
-                guard.poll()
-        ev.clear()
+        """Wait (lock held) until ``pe`` is granted the turn.  The wait
+        releases the engine lock; the watchdog guards only a wait that
+        outlasts its first 0.1 s, so a switch never pays for it."""
+        granted, aborted, wait = self._granted, self._aborted, self._conds[pe].wait
+        if not granted[pe] and not aborted():
+            wait(0.1)
+            if not granted[pe]:
+                with self.job.watchdog.watch(pe, "scheduler wait") as guard:
+                    while not granted[pe] and not aborted():
+                        guard.poll()
+                        wait(0.1)
+        granted[pe] = False
         if aborted():
             raise JobAborted("job aborted while awaiting schedule turn")

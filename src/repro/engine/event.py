@@ -46,6 +46,8 @@ class EventEngine(Engine):
     name = "event"
     eager_delivery = True
     max_pes = 16384
+    #: One OS thread, and arrivers park on the heap: no barrier lock.
+    barrier_cond = None
 
     def __init__(self) -> None:
         super().__init__()

@@ -49,7 +49,8 @@ class _GroupSync:
     def __init__(self, job: "Job", members: tuple[int, ...]) -> None:
         self.members = members
         self.barrier = VirtualBarrier(
-            len(members), aborted=job.aborted, members=members
+            len(members), aborted=job.aborted, members=members,
+            make_cond=job.engine.barrier_cond,
         )
         # A group formed after an image has already failed must not wait
         # for the dead member (survivable mode only; the set is final at

@@ -118,7 +118,8 @@ class Job:
         # the same offset, which a single metadata instance guarantees.
         self.symmetric_allocator = FreeListAllocator(heap_bytes)
         self._abort = threading.Event()
-        self.barrier = VirtualBarrier(num_pes, aborted=self.aborted)
+        self.barrier = VirtualBarrier(num_pes, aborted=self.aborted,
+                                      make_cond=self.engine.barrier_cond)
         self.collectives = CollectiveState(num_pes, aborted=self.aborted)
         # Failed-images model (Fortran 2018): with survivable=True an
         # injected crash marks the PE failed here instead of aborting

@@ -110,10 +110,33 @@ class PEMemory:
         transfer; waiters whose predicate becomes true merge it into
         their clocks.
         """
-        raw = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        if type(data) is np.ndarray and data.ndim == 1 and data.flags.c_contiguous:
+            size = data.itemsize
+            if data.size == 1 and size <= 8 and not offset % size and data.dtype.kind in "iufc":
+                self._write_word(offset, data, timestamp)
+                return
+            raw = data.view(np.uint8)
+        elif isinstance(data, (bytes, bytearray)):
+            raw = np.frombuffer(data, dtype=np.uint8)
+        else:
+            raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         self._check_range(offset, raw.size)
         with self._cond:
             self._buf[offset : offset + raw.size] = raw
+            self._note_write(timestamp)
+            self._cond.notify_all()
+
+    def _write_word(self, offset: int, data: np.ndarray, timestamp: float) -> None:
+        """:meth:`write` of one aligned numeric element (an 8-byte put):
+        stored through the whole-heap typed view the atomics use, which
+        copies the element's bytes as they are (NaN payloads included)."""
+        dt = data.dtype
+        typed = self._typed.get(dt)
+        if typed is None:
+            typed = self._typed[dt] = self._buf[: self.nbytes - self.nbytes % dt.itemsize].view(dt)
+        self._check_range(offset, dt.itemsize)
+        with self._cond:
+            typed[offset // dt.itemsize] = data[0]
             self._note_write(timestamp)
             self._cond.notify_all()
 

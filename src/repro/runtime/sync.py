@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import nullcontext
 from typing import Any, Callable
 
 from repro.runtime.context import PEContext
@@ -28,11 +29,14 @@ class VirtualBarrier:
     """Reusable barrier over ``num_pes`` PEs with clock reconciliation.
 
     Arrival bookkeeping (:meth:`arrive`) is engine-neutral float
-    arithmetic under one lock; *how* a non-final arriver parks until
-    release is the engine's business
-    (:meth:`~repro.engine.base.Engine.barrier_wait` — a condition-variable
-    wait on the threaded engine, a scheduler ``block_until`` on the
-    cooperative engine, a heap-parked continuation on the event engine).
+    arithmetic; *how* a non-final arriver parks until release is the
+    engine's business (:meth:`~repro.engine.base.Engine.barrier_wait` — a
+    condition-variable wait on the threaded engine, a scheduler
+    ``block_until`` on the cooperative engine, a heap-parked continuation
+    on the event engine).  So the engine also chooses what an arrival
+    locks (``make_cond``, its ``barrier_cond``): a condition on the
+    threaded engine, whose release notifies it, and nothing on the
+    deterministic engines, which run one PE at a time.
 
     The release time read at departure is stable without further
     locking: generation ``g``'s ``_release_time`` can only be
@@ -49,6 +53,7 @@ class VirtualBarrier:
         *,
         aborted: Callable[[], bool],
         members: tuple | None = None,
+        make_cond: Callable[[], threading.Condition] | None = threading.Condition,
     ) -> None:
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
@@ -60,7 +65,8 @@ class VirtualBarrier:
         self.members = members
         # The threaded engine's ``barrier_wait`` reaches into ``_cond``
         # and ``_generation`` directly.
-        self._cond = threading.Condition()
+        self._cond = make_cond and make_cond()
+        self._lock = self._cond or nullcontext()
         self._generation = 0
         self._count = 0
         self._max_arrival = 0.0
@@ -84,19 +90,25 @@ class VirtualBarrier:
         via the engine until the generation moves past theirs, then
         call :meth:`depart`.
         """
-        with self._cond:
+        with self._lock:
             gen = self._generation
             self._max_arrival = max(self._max_arrival, ctx.clock.now)
             self._count += 1
             self._last_cost = cost
             released = self._count >= self.num_pes
             if released:
-                self._release_time = self._max_arrival + cost
-                self._count = 0
-                self._max_arrival = 0.0
-                self._generation += 1
-                self._cond.notify_all()
+                self._release(self._max_arrival + cost)
         return gen, released
+
+    def _release(self, release_time: float) -> None:
+        """End the episode at ``release_time`` (lock held) and wake the
+        arrivers waiting on the condition, if there is one."""
+        self._release_time = release_time
+        self._count = 0
+        self._max_arrival = 0.0
+        self._generation += 1
+        if self._cond is not None:
+            self._cond.notify_all()
 
     def exclude(self, pe: int) -> bool:
         """Permanently excise a failed participant from the episode
@@ -113,15 +125,11 @@ class VirtualBarrier:
         """
         if self.members is not None and pe not in self.members:
             return False
-        with self._cond:
+        with self._lock:
             self.num_pes -= 1
             released = 0 < self.num_pes <= self._count
             if released:
-                self._release_time = self._max_arrival + self._last_cost
-                self._count = 0
-                self._max_arrival = 0.0
-                self._generation += 1
-                self._cond.notify_all()
+                self._release(self._max_arrival + self._last_cost)
         return released
 
     def depart(self, ctx: PEContext, gen: int) -> float:

@@ -6,7 +6,8 @@ the runnable PEs.  :class:`ChoiceListVT` is the same order through the
 list path, so every run here is made twice and the two executions must
 agree token for token: trace, counters, results and digests.  The
 heap run's strategy refuses to be asked, which proves no choice list
-was built.  Also here: the heap's key guard, the step ceiling's default
+was built, and on the kvservice cell most decisions keep the turn
+without a heap pick at all.  Also here: the heap's key guard, the step ceiling's default
 rule, and the heap path's livelock limit.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from repro.bench.harness import CRAY_CAF, UHCAF_CRAY_SHMEM, UHCAF_GASNET
 from repro.bench.kvservice import WorkloadSpec, run_cell
 from repro.engine import EngineError
+from repro.engine.cooperative import CooperativeEngine
 from repro.explore import (
     DEFAULT_MAX_STEPS,
     PCTStrategy,
@@ -67,9 +69,45 @@ def test_corpus_program_runs_the_same_schedule(name):
     assert heap["stats"]["steps"] > 0
 
 
-def test_kvservice_cell_runs_the_same_schedule():
+def test_kvservice_cell_runs_the_same_schedule(monkeypatch):
+    picks = []
+    pick_vt = CooperativeEngine._pick_vt
+
+    def counted(self):
+        picks.append(self.steps)
+        return pick_vt(self)
+
+    monkeypatch.setattr(CooperativeEngine, "_pick_vt", counted)
     heap, listed = _both(lambda sched: run_cell(KV_SPEC, engine=sched))
     assert heap == listed
+    # The list path never picks off the heap; the heap path keeps the
+    # turn holder's turn without a pick on most decisions.
+    assert 0 < len(picks) < heap["stats"]["steps"] / 2
+
+
+def test_unsourced_waiter_runs_the_same_schedule():
+    # An unsourced block_until is re-polled at every decision, so the
+    # turn holder cannot keep its turn while one is parked.
+    def run(sched):
+        flag = []
+
+        def body():
+            ctx = current()
+            if ctx.pe == 1:
+                sched.block_until(1, lambda: bool(flag), "flag")
+            else:
+                for i in range(4):
+                    ctx.clock.advance(1.0)
+                    spin_hint()
+                    if i == 1:
+                        flag.append(i)
+            return ctx.clock.now
+
+        return run_spmd(body, 2, engine=sched)
+
+    heap, listed = _both(run)
+    assert heap == listed
+    assert heap["trace"] == ["p0", "p1", "p0", "p0", "p1", "p0", "p0"]
 
 
 def test_survivable_crash_cell_runs_the_same_schedule():

@@ -207,3 +207,71 @@ def test_wait_until_aborts():
 def test_size_validation():
     with pytest.raises(ValueError):
         PEMemory(0)
+
+
+def _oracle_write(buf: np.ndarray, offset: int, data) -> None:
+    """``PEMemory.write``'s byte path before single elements were stored
+    through a typed view: every input as its raw bytes."""
+    raw = (np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray))
+           else np.ascontiguousarray(data).view(np.uint8).reshape(-1))
+    buf[offset : offset + raw.size] = raw
+
+
+def _nan_payloads(dtype) -> np.ndarray:
+    """Quiet and signalling NaNs with payload bits, plus -0.0, as ``dtype``."""
+    dt = np.dtype(dtype)
+    bits = {2: [0x7E01, 0x7C01, 0xFE55, 0x8000],
+            4: [0x7FC0_1234, 0x7F80_0001, 0xFFBF_FFFF, 0x8000_0000],
+            8: [0x7FF8_0000_0000_1234, 0x7FF0_0000_0000_0001,
+                0xFFF7_FFFF_FFFF_FFFF, 0x8000_0000_0000_0000]}[dt.itemsize]
+    return np.array(bits, dtype=f"u{dt.itemsize}").view(dt)
+
+
+_ELEMENT_DTYPES = ["i1", "u1", "i2", "u2", "f2", "i4", "u4", "f4", "i8", "u8", "f8",
+                   ">f8", ">i4", "c8", "c16", "g", "?", "V8"]
+
+
+@pytest.mark.parametrize("dtype", _ELEMENT_DTYPES)
+@pytest.mark.parametrize("offset", [0, 1, 3, 8, 13, 48])
+def test_write_stores_the_bytes_of_the_byte_path(dtype, offset):
+    rng = np.random.default_rng([_ELEMENT_DTYPES.index(dtype), offset])
+    dt = np.dtype(dtype)
+    payloads = [rng.integers(0, 256, size=dt.itemsize * n, dtype=np.uint8).view(dt)
+                for n in (1, 1, 3)]
+    part = dt.itemsize // (2 if dt.kind == "c" else 1)
+    if dt.kind in "fc" and part <= 8:  # one NaN-bearing element each
+        parts = _nan_payloads(f"f{part}")
+        payloads += [nan[None] for nan in parts.view(np.uint8).view(dt)]
+    payloads += [
+        payloads[2].tobytes(),                                 # bytes
+        bytearray(payloads[0].tobytes()),                      # bytearray
+        np.arange(6 * dt.itemsize, dtype=np.uint8).view(dt).reshape(2, 3),  # 2-D
+        np.arange(6 * dt.itemsize, dtype=np.uint8).view(dt)[::2],           # strided
+        np.arange(8 * dt.itemsize, dtype=np.uint8).view(dt).reshape(4, 2)[:, 1],  # column
+        np.asfortranarray(np.arange(6 * dt.itemsize, dtype=np.uint8).view(dt).reshape(2, 3)),
+        np.zeros(0, dtype=dt),                                 # empty
+    ]
+    for data in payloads:
+        mem = PEMemory(256)
+        mem.local_view(0, 256)[:] = 0xA5  # a write must replace, not merge
+        want = np.full(256, 0xA5, dtype=np.uint8)
+        _oracle_write(want, offset, data)
+        mem.write(offset, data, timestamp=2.0)
+        assert mem.read(0, 256).tobytes() == want.tobytes(), (dtype, offset, data)
+        assert mem.last_write_time == 2.0
+
+
+def test_single_element_write_checks_range_and_notifies():
+    mem = PEMemory(16)
+    with pytest.raises(IndexError):
+        mem.write(16, np.array([1], dtype=np.uint64), timestamp=1.0)
+    with pytest.raises(IndexError):
+        mem.write(-8, np.array([1], dtype=np.uint64), timestamp=1.0)
+    assert mem.last_write_time == 0.0 and not mem.read(0, 16).any()
+    seen = []
+    waiter = threading.Thread(target=lambda: seen.append(mem.wait_until(
+        lambda: mem.read_scalar(8, np.uint64) == 7, aborted=lambda: False)))
+    waiter.start()
+    mem.write(8, np.array([7], dtype=np.uint64), timestamp=3.5)
+    waiter.join(timeout=5)
+    assert seen == [3.5]

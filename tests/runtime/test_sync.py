@@ -69,6 +69,23 @@ def test_barrier_abort_releases_waiters():
     assert not t.is_alive()
 
 
+@pytest.mark.parametrize("engine, waits", [("threaded", True), ("event", False), ("vt", False)])
+def test_engine_chooses_the_barrier_condition(engine, waits):
+    # Only the threaded engine's barrier_wait waits on a barrier's
+    # condition; elsewhere arrivals and exclusions lock and notify nothing.
+    job = Job(3, "stampede", heap_bytes=64, engine=engine)
+    ctxs = [PEContext(job, pe) for pe in range(3)]
+    for c, t in zip(ctxs, (5.0, 2.0, 9.0)):
+        c.clock.advance(t)
+    for bar in (job.barrier, job.groups.get((0, 1, 2)).barrier):
+        assert isinstance(bar._cond, threading.Condition) is waits
+        want = max(ctxs[0].clock.now, ctxs[2].clock.now) + 1.0
+        assert bar.arrive(ctxs[0], 1.0) == (0, False)
+        assert bar.arrive(ctxs[2], 1.0) == (0, False)
+        assert bar.exclude(1)  # the excision completes the episode
+        assert bar.generation == 1 and bar.depart(ctxs[0], 0) == want
+
+
 def test_barrier_validation():
     with pytest.raises(ValueError):
         VirtualBarrier(0, aborted=lambda: False)
