@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm.heap import SymmetricArray
+from repro.engine.base import Engine
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobAborted
 from repro.comm.constants import comparator
@@ -169,21 +170,23 @@ class OneSidedLayer:
         # Dissemination-barrier cost per team size (a pure function of
         # the size, the machine and this layer's conduit).
         self._barrier_costs: dict[int, float] = {}
+        # (shape, np.dtype, nbytes, fingerprint) per (shape, dtype) arguments.
+        self._alloc_layouts: dict[tuple, tuple] = {}
         # Max outstanding remote-completion time of each PE's puts.
         self._pending = [0.0] * job.num_pes
         # The execution engine owns every mode decision (fault plan,
         # cooperative scheduling, delivery, blocking).  Hot-path hooks
-        # are cached as plain instance attributes: one dict lookup and
-        # one call each, with the no-fault / free-running fast paths
-        # pre-resolved at engine bind time.
+        # are plain instance attributes; one that does nothing here is
+        # None and skipped: the base no-op ``decision``/``drain``, and
+        # ``jitter`` without a fault plan.
         eng = job.engine
         self.engine = eng
         self._eager = eng.eager_delivery
-        self._decide = eng.decision
+        self._decide = None if type(eng).decision is Engine.decision else eng.decision
+        self._drain = None if type(eng).drain is Engine.drain else eng.drain
+        self._jitter = None if job.faults is None else eng.jitter
         self._priced = eng.priced
-        self._jitter = eng.jitter
         self._deposit = eng.deposit
-        self._drain = eng.drain
         # Failed-image detection (survivable jobs only).  ``None`` in
         # the default mode, so the per-op guard in every RMA/AMO entry
         # point is a single ``is not None`` test and the clean-abort
@@ -199,13 +202,23 @@ class OneSidedLayer:
         a zero-argument builder producing the :class:`SymmetricArray`;
         the caller must pass a barrier before building (step programs
         use :func:`repro.engine.steps.alloc_array_step`)."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        shape = tuple(int(s) for s in shape)
-        if any(s < 0 for s in shape):
-            raise ValueError(f"negative dimension in shape {shape}")
-        dt = np.dtype(dtype)
-        nbytes = array_nbytes(shape, dt.itemsize)
+        key = (shape, dtype)
+        try:
+            layout = self._alloc_layouts.get(key)
+        except TypeError:  # an unhashable shape (a list) is not memoized
+            layout = key = None
+        if layout is None:
+            if isinstance(shape, (int, np.integer)):
+                shape = (int(shape),)
+            shape = tuple(int(s) for s in shape)
+            if any(s < 0 for s in shape):
+                raise ValueError(f"negative dimension in shape {shape}")
+            dt = np.dtype(dtype)
+            layout = (shape, dt, array_nbytes(shape, dt.itemsize),
+                      f"{self.LAYER_NAME}.alloc:{shape}:{dt.str}")
+            if key is not None:
+                self._alloc_layouts[key] = layout
+        shape, dt, nbytes, fingerprint = layout
         ctx = current()
         # Injected symmetric-heap exhaustion fails *this* PE before it
         # reaches the collective, so the allocator metadata is never
@@ -213,7 +226,7 @@ class OneSidedLayer:
         self.engine.alloc_check(ctx)
         offset = self.job.collectives.agree(
             ctx,
-            f"{self.LAYER_NAME}.alloc:{shape}:{dt.str}",
+            fingerprint,
             lambda: self.job.symmetric_allocator.malloc(max(nbytes, 1)),
         )
         return lambda: SymmetricArray(self, offset, shape, dt)
@@ -296,7 +309,8 @@ class OneSidedLayer:
             return  # nothing moves: no pricing, no lock, no clock advance
         addr = dest.byte_offset + offset * dest.itemsize  # span checked above
         ctx = current()
-        self._decide(ctx, "put", pe)
+        if self._decide is not None:
+            self._decide(ctx, "put", pe)
         if self._failed is not None:
             self._check_failed(ctx, "put", pe)
         t_start = ctx.clock.now
@@ -350,7 +364,8 @@ class OneSidedLayer:
             return np.empty(0, dtype=src.dtype)
         addr = src.byte_offset + offset * src.itemsize  # span checked above
         ctx = current()
-        self._decide(ctx, "get", pe)
+        if self._decide is not None:
+            self._decide(ctx, "get", pe)
         if self._failed is not None:
             self._check_failed(ctx, "get", pe)
         nbytes = nelems * src.itemsize
@@ -419,7 +434,8 @@ class OneSidedLayer:
         ctx = current()
         if self.profile.iput_native:
             # Non-native conduits loop over put(), which decides per call.
-            self._decide(ctx, "iput", pe)
+            if self._decide is not None:
+                self._decide(ctx, "iput", pe)
             self._check_failed(ctx, "iput", pe)
         t_start = ctx.clock.now
         itemsize = dest.itemsize
@@ -489,7 +505,8 @@ class OneSidedLayer:
             return np.empty(0, dtype=src.dtype)
         ctx = current()
         if self.profile.iput_native:
-            self._decide(ctx, "iget", pe)
+            if self._decide is not None:
+                self._decide(ctx, "iget", pe)
             self._check_failed(ctx, "iget", pe)
         t_start = ctx.clock.now
         itemsize = src.itemsize
@@ -583,7 +600,8 @@ class OneSidedLayer:
         if data.size == 0:
             return
         ctx = current()
-        self._decide(ctx, "plan_put", pe)
+        if self._decide is not None:
+            self._decide(ctx, "plan_put", pe)
         self._check_failed(ctx, "put", pe)
         t_start = ctx.clock.now
         itemsize = dest.itemsize
@@ -632,7 +650,8 @@ class OneSidedLayer:
         if spec.total_elems == 0:
             return np.empty(0, dtype=src.dtype)
         ctx = current()
-        self._decide(ctx, "plan_get", pe)
+        if self._decide is not None:
+            self._decide(ctx, "plan_get", pe)
         self._check_failed(ctx, "get", pe)
         t_start = ctx.clock.now
         itemsize = src.itemsize
@@ -665,23 +684,28 @@ class OneSidedLayer:
 
     def _quiet(self, ctx) -> None:
         """:meth:`quiet` on a context the caller already holds."""
-        self._decide(ctx, "quiet", -1)
-        self._drain(ctx)
-        t_start = ctx.clock.now
-        ctx.clock.merge(self._pending[ctx.pe])
+        if self._decide is not None:
+            self._decide(ctx, "quiet", -1)
+        if self._drain is not None:
+            self._drain(ctx)
+        clock = ctx.clock
+        t_start, pending = clock.now, self._pending[ctx.pe]
+        if pending > t_start:  # ``clock.merge``, inline: every barrier quiets
+            clock.now = pending
         self._pending[ctx.pe] = 0.0
         tracer = self.job.tracer
-        if tracer is not None and (ctx.clock.now > t_start or tracer.capture_sync):
+        if tracer is not None and (clock.now > t_start or tracer.capture_sync):
             # In sync-capture mode even a no-op quiet is recorded: it is
             # a quiesce point the sanitizer's ordering checks rely on.
-            tracer.record(ctx.pe, "quiet", -1, 0, t_start, ctx.clock.now)
+            tracer.record(ctx.pe, "quiet", -1, 0, t_start, clock.now)
 
     def fence(self) -> None:
         """Order (but do not complete) outstanding puts per target."""
         ctx = current()
         # Delivery queues are FIFO per initiator — stronger than the
         # per-target ordering fence promises — so no drain is needed.
-        self._decide(ctx, "fence", -1)
+        if self._decide is not None:
+            self._decide(ctx, "fence", -1)
         t_start = ctx.clock.now
         ctx.clock.advance(self.FENCE_COST_US)
         tracer = self.job.tracer
@@ -697,7 +721,8 @@ class OneSidedLayer:
         here).  ``barrier``/``npes`` select a team-scoped barrier; the
         default is the job-wide barrier over all PEs."""
         t_start = ctx.clock.now
-        self._jitter(ctx, self, "barrier")
+        if self._jitter is not None:
+            self._jitter(ctx, self, "barrier")
         self._quiet(ctx)
         if barrier is None:
             barrier = self.job.barrier
@@ -712,9 +737,11 @@ class OneSidedLayer:
 
     def _barrier_depart(self, ctx, t_start: float, gen: int, barrier=None) -> None:
         """Departure half of :meth:`barrier_all`: merge the episode's
-        release time and trace the barrier record."""
+        release time (inline ``VirtualBarrier.depart``) and trace."""
         bar = self.job.barrier if barrier is None else barrier
-        bar.depart(ctx, gen)
+        clock = ctx.clock
+        if bar.release_time > clock.now:
+            clock.now = bar.release_time
         tracer = self.job.tracer
         if tracer is not None:
             meta = ("b", bar.sync_id, gen) if tracer.capture_sync else ()
@@ -775,7 +802,8 @@ class OneSidedLayer:
         ctx = current()
         # Atomics bypass the delivery queues (the NIC atomic unit is
         # not write-buffered): they execute at the chosen step.
-        self._decide(ctx, "atomic", pe)
+        if self._decide is not None:
+            self._decide(ctx, "atomic", pe)
         if self._failed is not None:
             self._check_failed(ctx, "atomic", pe)
         t_start = ctx.clock.now

@@ -59,7 +59,8 @@ class SymmetricArray:
 
     def check_span(self, start_elem: int, nelems: int, stride: int = 1) -> None:
         """Validate that a strided element span fits inside the array."""
-        self._check_live()
+        if self._freed:  # ``_check_live``, inline on the per-operation path
+            raise ValueError("symmetric array used after shfree")
         if nelems == 1 and 0 <= start_elem < self.size:
             return  # the scalar case: one in-range element
         if nelems < 0:

@@ -35,9 +35,9 @@ Three engines exist:
 The fault plane lives on the base class because it is engine-neutral:
 the injector's decisions depend only on per-PE operation indices, and
 retransmission backoff is priced in virtual time, so the same pipeline
-serves all engines bit-identically.  When the job has no fault plan,
-:meth:`bind` swaps the pipeline entry points for module-level
-pass-throughs, keeping the no-fault fast path at one function call.
+serves all engines bit-identically.  Without a fault plan, :meth:`bind`
+swaps ``priced`` and ``alloc_check`` for module-level pass-throughs and
+layers skip ``jitter``; they also skip base no-op ``decision``/``drain``.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def _priced_nofaults(ctx, layer, op, target, price, fail_at,
     return price(ctx.clock.now, src_node, dst_node)
 
 
-def _jitter_nofaults(ctx, layer, op, target=-1):
-    return None
-
-
 def _alloc_check_nofaults(ctx):
     return None
 
@@ -142,7 +138,6 @@ class Engine:
         self.faults = job.faults
         if job.faults is None:
             self.priced = _priced_nofaults
-            self.jitter = _jitter_nofaults
             self.alloc_check = _alloc_check_nofaults
 
     # ------------------------------------------------------------------
@@ -245,8 +240,8 @@ class Engine:
     # ------------------------------------------------------------------
     def decision(self, ctx, op: str, target: int) -> None:
         """A schedule decision point (every RMA/sync call).  Free-running
-        engines do nothing; the cooperative engine lets its strategy
-        pick who runs next here."""
+        engines keep this no-op, and layers then skip the call; the
+        cooperative engine lets its strategy pick who runs next here."""
 
     def spin_yield(self, ctx, op: str, target: int) -> None:
         """One iteration of a spin-retry loop (lock acquisition).  Must

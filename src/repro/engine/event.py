@@ -59,9 +59,6 @@ class EventEngine(Engine):
         return self._core.memories(heap_bytes)
 
     # -- schedule hooks -------------------------------------------------
-    def decision(self, ctx, op: str, target: int) -> None:
-        pass  # eager execution between steps; nothing to decide
-
     def spin_yield(self, ctx, op: str, target: int) -> None:
         raise WouldBlock(f"EventEngine cannot spin inline on {op!r}; "
                          f"return a DelayStep and retry in the continuation")

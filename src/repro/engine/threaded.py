@@ -106,9 +106,6 @@ class ThreadedEngine(ThreadRunMixin, Engine):
     eager_delivery = True
 
     # -- schedule hooks: free-running threads decide nothing -----------
-    def decision(self, ctx, op: str, target: int) -> None:
-        pass
-
     def spin_yield(self, ctx, op: str, target: int) -> None:
         # Let the lock holder's thread make progress before retrying.
         time.sleep(0.0002)

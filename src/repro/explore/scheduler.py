@@ -23,6 +23,7 @@ from repro.engine.cooperative import (  # noqa: F401 - re-exported
     ScheduleLimitError,
 )
 from repro.engine.sched import DeadlockError  # noqa: F401 - re-exported
+from repro.runtime.context import current
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,5 @@ def spin_hint() -> None:
     engine it sleeps briefly, exactly like the hand-written polling
     loops it replaces.
     """
-    from repro.runtime.context import current
-
     ctx = current()
     ctx.job.engine.spin_yield(ctx, "spin", -1)

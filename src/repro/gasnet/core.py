@@ -103,7 +103,8 @@ class GasnetLayer(OneSidedLayer):
         self._check_pe(pe)
         fn = self._resolve_handler(handler)
         ctx = current()
-        self._decide(ctx, "am", pe)
+        if self._decide is not None:
+            self._decide(ctx, "am", pe)
         self._check_failed(ctx, "am", pe)
         nbytes = 0 if payload is None else int(np.asarray(payload).nbytes)
         t_start = ctx.clock.now
@@ -137,7 +138,8 @@ class GasnetLayer(OneSidedLayer):
         self._check_pe(pe)
         fn = self._resolve_handler(handler)
         ctx = current()
-        self._decide(ctx, "am", pe)
+        if self._decide is not None:
+            self._decide(ctx, "am", pe)
         self._check_failed(ctx, "am", pe)
         nbytes = 0 if payload is None else int(np.asarray(payload).nbytes)
         t_start = ctx.clock.now

@@ -116,7 +116,8 @@ class Window:
         ctx = current()
         # Accumulates funnel through the target's atomic unit, so like
         # atomics they execute at the chosen step (no delivery queue).
-        layer._decide(ctx, "atomic", rank)
+        if layer._decide is not None:
+            layer._decide(ctx, "atomic", rank)
         layer._check_failed(ctx, "atomic", rank)
         t_start = ctx.clock.now
         # Priced as a put plus per-element service on the target's

@@ -38,8 +38,8 @@ class VirtualBarrier:
     threaded engine, whose release notifies it, and nothing on the
     deterministic engines, which run one PE at a time.
 
-    The release time read at departure is stable without further
-    locking: generation ``g``'s ``_release_time`` can only be
+    The release time read at departure (:attr:`release_time`) is stable
+    without further locking: generation ``g``'s release time can only be
     overwritten by generation ``g+1``'s release, which requires every
     PE — including all of ``g``'s parked departers — to have arrived
     again, i.e. to have already departed ``g``.
@@ -66,11 +66,10 @@ class VirtualBarrier:
         # The threaded engine's ``barrier_wait`` reaches into ``_cond``
         # and ``_generation`` directly.
         self._cond = make_cond and make_cond()
-        self._lock = self._cond or nullcontext()
         self._generation = 0
         self._count = 0
         self._max_arrival = 0.0
-        self._release_time = 0.0
+        self.release_time = 0.0  #: the last released episode's departure
         self._last_cost = 0.0
         #: Job-unique identity; with the generation number it names one
         #: barrier *episode* for the sanitizer's happens-before graph.
@@ -90,7 +89,10 @@ class VirtualBarrier:
         via the engine until the generation moves past theirs, then
         call :meth:`depart`.
         """
-        with self._lock:
+        cond = self._cond  # None: one PE at a time, no lock, no bracket
+        if cond is not None:
+            cond.acquire()
+        try:
             gen = self._generation
             self._max_arrival = max(self._max_arrival, ctx.clock.now)
             self._count += 1
@@ -98,12 +100,15 @@ class VirtualBarrier:
             released = self._count >= self.num_pes
             if released:
                 self._release(self._max_arrival + cost)
+        finally:
+            if cond is not None:
+                cond.release()
         return gen, released
 
     def _release(self, release_time: float) -> None:
         """End the episode at ``release_time`` (lock held) and wake the
         arrivers waiting on the condition, if there is one."""
-        self._release_time = release_time
+        self.release_time = release_time
         self._count = 0
         self._max_arrival = 0.0
         self._generation += 1
@@ -125,7 +130,7 @@ class VirtualBarrier:
         """
         if self.members is not None and pe not in self.members:
             return False
-        with self._lock:
+        with self._cond or nullcontext():
             self.num_pes -= 1
             released = 0 < self.num_pes <= self._count
             if released:
@@ -136,7 +141,7 @@ class VirtualBarrier:
         """Merge the episode's release time into ``ctx``'s clock and
         return it (see the class docstring for why the unlocked read
         is safe)."""
-        departure = self._release_time
+        departure = self.release_time
         ctx.clock.merge(departure)
         return departure
 

@@ -19,32 +19,29 @@ from __future__ import annotations
 
 
 class VirtualClock:
-    """Monotonic virtual time in microseconds."""
+    """Monotonic virtual time in microseconds, as the plain attribute
+    ``now`` (only the owning PE writes it)."""
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
+        self.now = float(start)
 
     def advance(self, dt: float) -> float:
         """Move forward by ``dt`` microseconds (must be non-negative)."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self._now += dt
-        return self._now
+        self.now += dt
+        return self.now
 
     def merge(self, t: float) -> float:
         """Reconcile with an external timestamp: ``now = max(now, t)``."""
-        if t > self._now:
-            self._now = t
-        return self._now
+        if t > self.now:
+            self.now = t
+        return self.now
 
     def reset(self, t: float = 0.0) -> None:
-        self._now = float(t)
+        self.now = float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"VirtualClock(now={self._now:.3f}us)"
+        return f"VirtualClock(now={self.now:.3f}us)"

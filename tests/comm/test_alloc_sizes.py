@@ -14,6 +14,7 @@ from repro import caf
 from repro.engine.steps import alloc
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobFailure
+from repro.runtime.sync import CollectiveMismatch
 from repro.shmem import attach as shmem_attach
 from repro.util.allocator import OutOfMemoryError, array_nbytes
 
@@ -78,3 +79,47 @@ def test_coarray_refuses_a_wrapping_shape():
     with pytest.raises(JobFailure) as exc_info:
         caf.launch(kernel, NPES, heap_bytes=1 << 20)
     _assert_every_pe_out_of_memory(exc_info)
+
+
+# ---------------------------------------------------------------------------
+# The per-layer allocation layout memo (keyed on the ``(shape, dtype)``
+# arguments) must not change what an allocation accepts or refuses.
+# ---------------------------------------------------------------------------
+
+
+def test_list_and_numpy_integer_shapes_still_allocate():
+    job = Job(NPES, "stampede", heap_bytes=HEAP, engine="event")
+    layer = shmem_attach(job)
+
+    def body():
+        shapes = []
+        for shape in ([2, 3], [2, 3], np.int64(5), np.int64(5), (np.int32(2), 3)):
+            arr = yield from alloc(layer, shape, np.float64)
+            shapes.append(arr.shape)
+        return shapes
+
+    assert job.run(body) == [[(2, 3), (2, 3), (5,), (5,), (2, 3)]] * NPES
+
+
+def test_negative_dimension_raises_on_every_call():
+    layer = shmem_attach(Job(NPES, "stampede", heap_bytes=HEAP))
+    for shape in ((2, -1), (2, -1), [-3], [-3], np.int64(-1), np.int64(-1)):
+        with pytest.raises(ValueError, match="negative dimension"):
+            layer.alloc_array(shape, np.int64)
+
+
+def test_different_dtypes_under_one_shape_still_mismatch():
+    job = Job(NPES, "stampede", heap_bytes=HEAP, engine="event")
+    layer = shmem_attach(job)
+
+    def body():
+        # Every PE first allocates both pairs, so both layouts are memoized.
+        yield from alloc(layer, (4,), np.int64)
+        yield from alloc(layer, (4,), np.float64)
+        yield from alloc(layer, (4,), np.float64 if current().pe else np.int64)
+        return "allocated"
+
+    with pytest.raises(JobFailure) as exc_info:
+        job.run(body)
+    ((pe, exc),) = exc_info.value.failures
+    assert pe == 1 and isinstance(exc, CollectiveMismatch)
