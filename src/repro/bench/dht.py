@@ -272,8 +272,8 @@ class ReplicatedHashTable:
                 self._ring.local[0] = _ring_encode(0, ring_images)
                 self._hist.local[0] = ring_images
         #: Per-image ledger of acknowledged counter writes
-        #: ``(key, delta)`` — the chaos gate's "zero lost acked writes"
-        #: evidence.
+        #: ``(key, delta)`` — the survivable fault cells' "zero lost
+        #: acked writes" evidence.
         self.acked: list[tuple[int, int]] = []
         #: Per-image ledger of acknowledged LWW puts ``(key, value)``.
         self.put_acked: list[tuple[int, int]] = []
@@ -724,7 +724,7 @@ class ReplicatedHashTable:
         """Re-read every acked key; returns the mismatches
         ``(key, expected, found)`` — empty means zero lost acked writes
         (valid when this image's key space is disjoint from other
-        writers', as in the chaos kernels)."""
+        writers', as in the survivable corpus programs)."""
         bad = []
         for key, expected in self.acked_totals().items():
             found = self.lookup(key)
@@ -736,8 +736,8 @@ class ReplicatedHashTable:
         """Re-read every key this image acked a put for; expected is the
         last acked value.  Returns mismatches ``(key, expected, found)``
         — empty means zero lost acked writes (valid when this image's
-        key space is disjoint from other writers', as in the chaos and
-        reshard-sweep kernels)."""
+        key space is disjoint from other writers', as in the survivable
+        corpus programs and the reshard-sweep kernels)."""
         last: dict[int, int] = {}
         for key, value in self.put_acked:
             last[key] = value

@@ -83,7 +83,7 @@ class WorkloadSpec:
     mean_interarrival_us: float = 300.0
     seed: int = 2015
     #: Offset each PE's keys into a disjoint range — required by the
-    #: acked-ledger verification (and the reshard/chaos gates).
+    #: acked-ledger verification (and the reshard and fault-cell gates).
     disjoint: bool = False
 
     def fractions(self) -> tuple[float, float, float]:

@@ -55,11 +55,10 @@ import numpy as np
 
 from repro.bench.harness import host_info, update_bench_json
 from repro.engine.steps import BarrierStep, alloc
-from repro.explore.harness import trace_digest
 from repro.runtime.context import current
 from repro.runtime.launcher import Job
 from repro.shmem import attach as shmem_attach
-from repro.trace.events import attach as trace_attach
+from repro.trace.events import attach as trace_attach, trace_digest
 
 #: Symmetric heap per PE for scale runs — the workloads are tiny on
 #: purpose (a 4096-PE job allocates one of these per PE).

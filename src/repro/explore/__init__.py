@@ -8,11 +8,14 @@ fault injector hook) yields to a pluggable :class:`Strategy`, so **one
 seed names one exact interleaving** — replayable bit-for-bit from a
 failure report.  On top, :func:`explore` drives N schedules per program
 and checks the race-free corpus for bit-identical digests and the
-seeded racy corpus for a concrete divergence witness.
+seeded racy corpus for a concrete divergence witness; with ``faults=``
+it runs the same corpus under named fault plans instead (bit-identical,
+clean abort, or degraded-but-correct).
 
 Entry points:
 
 * ``python -m repro.explore --program dht --schedules 50 --seed 2015``
+* ``python -m repro.explore --program dht rdht --faults mixed survivable``
 * :func:`explore` / :func:`replay` — the library API;
 * :func:`schedules` — a pytest parametrization decorator::
 
@@ -32,17 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.explore.harness import (
+    FAULT_PLANS,
     DivergenceWitness,
     ExploreReport,
     ScheduleOutcome,
     explore,
+    fault_plan,
     minimize_witness,
     replay,
     run_schedule,
     trace_diff,
-    trace_digest,
 )
-from repro.explore.programs import PROGRAMS, ExploreProgram, get_program
+from repro.explore.programs import PROGRAMS, ExploreProgram, ProgramRun, get_program
 from repro.explore.scheduler import (
     DEFAULT_MAX_STEPS,
     DeadlockError,
@@ -61,6 +65,7 @@ from repro.explore.scheduler import (
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
+    "FAULT_PLANS",
     "DeadlockError",
     "DivergenceWitness",
     "ExhaustiveEnumerator",
@@ -69,6 +74,7 @@ __all__ = [
     "GuidedPrefix",
     "PCTStrategy",
     "PROGRAMS",
+    "ProgramRun",
     "RandomWalk",
     "ReplaySchedule",
     "ScheduleLimitError",
@@ -77,6 +83,7 @@ __all__ = [
     "Strategy",
     "VirtualTimeOrder",
     "explore",
+    "fault_plan",
     "get_program",
     "make_strategy",
     "minimize_witness",
@@ -85,7 +92,6 @@ __all__ = [
     "schedules",
     "spin_hint",
     "trace_diff",
-    "trace_digest",
 ]
 
 

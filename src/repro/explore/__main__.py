@@ -1,4 +1,4 @@
-"""CLI for the schedule explorer.
+"""CLI for the correctness harness.
 
 ::
 
@@ -6,11 +6,14 @@
     python -m repro.explore --program missing_quiet --schedules 200 \
         --json > witness.json
     python -m repro.explore --replay witness.json
+    python -m repro.explore --program dht locks rdht \
+        --faults mixed crash escalate survivable --schedules 2 --images 4
 
 Exit codes: 0 — every program met its contract (race-free corpus
 bit-identical across all schedules; racy corpus produced a divergence
-witness); 1 — at least one contract violation (or a replay that did
-not reproduce); 2 — bad usage.
+witness; every fault cell bit-identical, a clean structured abort or
+degraded-but-correct); 1 — at least one contract violation (or a
+replay that did not reproduce); 2 — bad usage.
 """
 
 from __future__ import annotations
@@ -19,12 +22,23 @@ import argparse
 import json
 import sys
 
-from repro.explore import PROGRAMS, explore, replay
+from repro.explore import FAULT_PLANS, PROGRAMS, explore, replay
+from repro.explore.harness import fault_plans_for
 
 
 def _print_report(report) -> None:
     status = "ok" if report.ok else "VIOLATION"
     kind = "racy" if report.racy else "race-free"
+    if report.faults is not None:
+        print(f"{report.program:18s} {report.faults:10s} {report.strategy:15s} "
+              f"cells={report.schedules_run:<3d} {status}")
+        for c in report.outcomes:
+            line = (f"    seed={c.strategy['seed']:<6d} {c.status:9s} "
+                    f"injected={c.injected.get('injected_ops', 0)}")
+            if c.baseline_us is not None:
+                line += f" t={c.elapsed_us:.1f}us (baseline {c.baseline_us:.1f}us)"
+            print(line + (f"  [{c.error}]" if c.error else ""))
+        return
     print(
         f"{report.program:18s} {kind:9s} {report.strategy:10s} "
         f"schedules={report.schedules_run:<4d} "
@@ -98,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.explore",
         description="Deterministic schedule exploration: race-free programs "
         "must stay bit-identical across interleavings, seeded racy programs "
-        "must yield a divergence witness.",
+        "must yield a divergence witness.  With --faults, seeded fault plans "
+        "instead: each cell bit-identical, a clean abort, or degraded.",
     )
     parser.add_argument(
         "--program", nargs="+", choices=sorted(PROGRAMS), dest="programs",
@@ -106,11 +121,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--schedules", type=int, default=20,
-        help="interleavings to try per program (default: 20)",
+        help="interleavings to try per program; with --faults, mixed and "
+        "survivable cells per program (default: 20)",
     )
     parser.add_argument(
         "--seed", type=int, default=2015,
-        help="base seed; schedule i uses seed+i (default: 2015)",
+        help="base seed; schedule (or fault cell) i uses seed+i "
+        "(default: 2015)",
+    )
+    parser.add_argument(
+        "--faults", nargs="+", choices=FAULT_PLANS, metavar="PLAN",
+        help=f"run fault plans ({' '.join(FAULT_PLANS)}) instead of "
+        "schedules, each on the programs it applies to: survivable on "
+        "survivable programs, the rest on the other race-free ones",
     )
     parser.add_argument(
         "--strategy", choices=["random", "pct", "exhaustive"], default="random",
@@ -159,6 +182,20 @@ def main(argv: list[str] | None = None) -> int:
         print("explore: --schedules must be >= 1", file=sys.stderr)
         return 2
 
+    runs = [
+        (name, plan)
+        for name in args.programs
+        for plan in (args.faults or [None])
+        if plan is None or plan in fault_plans_for(PROGRAMS[name])
+    ]
+    if not runs:
+        print("explore: no fault plan applies to these programs",
+              file=sys.stderr)
+        return 2
+    if args.faults and args.images is not None and args.images < 2:
+        print("explore: fault plans need at least 2 images", file=sys.stderr)
+        return 2
+
     reports = [
         explore(
             name,
@@ -169,9 +206,10 @@ def main(argv: list[str] | None = None) -> int:
             machine=args.machine,
             max_steps=args.max_steps,
             pct_depth=args.pct_depth,
+            faults=plan,
             minimize=not args.no_minimize,
         )
-        for name in args.programs
+        for name, plan in runs
     ]
     violations = [r for r in reports if not r.ok]
     if args.json:
@@ -188,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         for r in reports:
             _print_report(r)
         print(
-            f"explore: {len(reports)} program(s), {len(violations)} "
+            f"explore: {len(reports)} report(s), {len(violations)} "
             f"violation(s)" + ("" if violations else " — contracts hold")
         )
     return 1 if violations else 0

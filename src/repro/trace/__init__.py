@@ -18,7 +18,7 @@ Usage::
                  print(tracer.timeline(pe=0))
 """
 
-from repro.trace.events import TraceEvent, Tracer, attach
+from repro.trace.events import TraceEvent, Tracer, attach, trace_digest
 from repro.trace.report import render_profile, render_timeline
 from repro.trace.sanitizer import (
     Finding,
@@ -33,6 +33,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "attach",
+    "trace_digest",
     "render_profile",
     "render_timeline",
     "Finding",

@@ -325,3 +325,23 @@ def attach(job: "Job", capture_sync: bool = False) -> Tracer:
     elif capture_sync:
         tracer.capture_sync = True
     return tracer
+
+
+def trace_digest(tracer: Tracer) -> str:
+    """Digest of a tracer's full event stream, virtual times included.
+
+    Deterministic runs (the cooperative and event engines) replay it
+    bit-identically, timestamps and all; the determinism and
+    engine-equivalence suites hang off this.
+    """
+    import hashlib
+
+    h = hashlib.sha256()
+    for pe_events in tracer.events:
+        for e in pe_events:
+            h.update(
+                f"{e.pe}|{e.op}|{e.target}|{e.nbytes}|{e.t_start!r}|"
+                f"{e.t_end!r}|{e.calls}\n".encode()
+            )
+        h.update(b"--\n")
+    return h.hexdigest()

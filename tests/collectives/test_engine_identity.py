@@ -23,11 +23,11 @@ from repro.collectives import (
     team_reduce_step,
 )
 from repro.engine.steps import Done, drive
-from repro.explore import RandomWalk, Scheduler, trace_digest
+from repro.explore import RandomWalk, Scheduler
 from repro.runtime.context import current
 from repro.runtime.launcher import Job
 from repro.shmem import attach as shmem_attach
-from repro.trace.events import attach as trace_attach
+from repro.trace.events import attach as trace_attach, trace_digest
 
 ENGINES = ("threaded", "cooperative", "event")
 

@@ -32,7 +32,7 @@ from repro.collectives import (
     team_reduce_step,
 )
 from repro.engine.steps import Done
-from repro.explore import trace_digest
+from repro.trace import trace_digest
 from repro.runtime.context import current
 from repro.runtime.launcher import Job
 from repro.shmem import attach as shmem_attach

@@ -24,12 +24,12 @@ import numpy as np
 import pytest
 
 from repro.engine.steps import BarrierStep, Done, alloc, alloc_array_step, drive
-from repro.explore import RandomWalk, Scheduler, trace_digest
+from repro.explore import RandomWalk, Scheduler
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobFailure
 from repro.shmem import attach as shmem_attach
 from repro.sim.faults import FaultPlan, InjectedCrash
-from repro.trace.events import attach as trace_attach
+from repro.trace.events import attach as trace_attach, trace_digest
 
 HEAP = 1 << 15
 ELEMS = 8

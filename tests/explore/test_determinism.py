@@ -10,7 +10,8 @@ replay the whole execution."""
 
 from repro.bench.harness import CafConfig
 from repro.bench.himeno import himeno_caf
-from repro.explore import RandomWalk, Scheduler, get_program, run_schedule, trace_digest
+from repro.explore import RandomWalk, Scheduler, get_program, run_schedule
+from repro.trace import trace_digest
 
 
 def test_dht_trace_and_times_bit_identical():

@@ -15,9 +15,9 @@ from repro.explore import (
     run_schedule,
     schedules,
     trace_diff,
-    trace_digest,
 )
 from repro.explore.__main__ import main as explore_main
+from repro.trace import trace_digest
 
 
 # ---------------------------------------------------------------------------

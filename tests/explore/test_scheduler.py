@@ -10,6 +10,7 @@ from repro.explore import (
     ExhaustiveEnumerator,
     ExploreProgram,
     GuidedPrefix,
+    ProgramRun,
     RandomWalk,
     ReplaySchedule,
     ScheduleLimitError,
@@ -216,7 +217,7 @@ def test_exhaustive_enumeration_covers_and_terminates():
         out = caf.launch(
             _barrier_only_kernel, images, machine, engine=engine
         )
-        return repr(out), None
+        return ProgramRun(repr(out), 0.0)
 
     prog = ExploreProgram("tiny", False, 2, "barrier-only", runner)
     enum = ExhaustiveEnumerator()

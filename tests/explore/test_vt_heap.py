@@ -25,11 +25,11 @@ from repro.explore import (
     VirtualTimeOrder,
     spin_hint,
 )
-from repro.explore.harness import trace_digest
 from repro.explore.programs import PROGRAMS
 from repro.runtime.context import current
 from repro.runtime.launcher import Job, JobFailure, run_spmd
 from repro.sim.faults import FaultPlan
+from repro.trace import trace_digest
 from tests.explore.test_golden_traces import KV_SPEC, run_fig8
 
 
@@ -60,9 +60,9 @@ def test_corpus_program_runs_the_same_schedule(name):
     program = PROGRAMS[name]
 
     def run(sched):
-        digest, tracer = program.run(sched, images=program.default_images,
-                                     machine="stampede", trace=True)
-        return digest, None if tracer is None else trace_digest(tracer)
+        run = program.run(sched, images=program.default_images,
+                          machine="stampede", trace=True)
+        return run.digest, None if run.tracer is None else trace_digest(run.tracer)
 
     heap, listed = _both(run)
     assert heap == listed

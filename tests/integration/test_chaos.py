@@ -1,44 +1,54 @@
-"""The chaos harness gate, exercised as a test suite.
+"""Fault cells of the correctness harness, exercised as a test suite.
 
-Runs the quick schedule matrix over the DHT and lock kernels and
-asserts the gate holds: bit-identity under retried transients, clean
-structured aborts under crashes, never a violation.  Also covers the
-CLI's exit-code contract.
+Runs the explorer's fault plans (``explore(..., faults=...)``) over the
+DHT, lock and collective programs and asserts the gate holds:
+bit-identity under retried transients, clean structured aborts under
+crashes and escalations, never a violation.  Also covers the classifier
+on an unstructured failure and the ``--faults`` CLI's exit codes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos import (
-    ChaosOutcome,
-    crash_plan,
-    escalate_plan,
-    mixed_plan,
-    run_cell,
-    run_target,
+from repro.explore import (
+    FAULT_PLANS,
+    PROGRAMS,
+    ExploreProgram,
+    ExploreReport,
+    ProgramRun,
+    ScheduleOutcome,
+    explore,
+    fault_plan,
+    get_program,
 )
-from repro.chaos.__main__ import main
+from repro.explore.__main__ import main
+from repro.explore.harness import _fault_cell, fault_plans_for
+from repro.sim.faults import FaultInjector
+
+
+def _cells(target, plan, seed=2015, schedules=1):
+    return explore(target, faults=plan, seed=seed, schedules=schedules,
+                   images=4).outcomes
 
 
 @pytest.mark.parametrize("target", ["dht", "locks"])
 def test_gate_holds_on_quick_matrix(target):
-    cells = run_target(target, [2015], images=4, quick=True, deadline_s=60.0)
+    cells = [c for plan in ("mixed", "crash", "escalate")
+             for c in _cells(target, plan)]
     assert len(cells) == 3  # mixed + crash + escalate
     for cell in cells:
-        assert cell.ok, f"{cell.target}/{cell.schedule}: {cell.detail}"
+        assert cell.status != "violation", f"{target}: {cell.error}"
     mixed = cells[0]
-    assert mixed.schedule == "mixed"
     if mixed.status == "identical" and mixed.injected.get("injected_ops", 0):
         assert mixed.elapsed_us > mixed.baseline_us
 
 
 def test_mixed_schedule_injects_and_stays_identical():
-    cells = run_target("dht", [2015, 2016], images=4, quick=True,
-                       deadline_s=60.0, with_aborts=False)
-    assert [c.schedule for c in cells] == ["mixed", "mixed"]
-    assert all(c.status == "identical" for c in cells), [c.detail for c in cells]
-    # The quick DHT kernel issues hundreds of ops at a 15% transient
+    cells = _cells("dht", "mixed", schedules=2)
+    assert [c.strategy["seed"] for c in cells] == [2015, 2016]
+    assert all(c.status == "identical" for c in cells), [c.error for c in cells]
+    # The DHT program issues dozens of ops per PE at a 15% transient
     # rate: the schedule cannot be a no-op.
     assert all(c.injected.get("injected_ops", 0) > 0 for c in cells)
     # Retried attempts and latency jitter are priced in virtual time.
@@ -46,32 +56,69 @@ def test_mixed_schedule_injects_and_stays_identical():
 
 
 def test_crash_schedule_aborts_cleanly():
-    cells = run_target("locks", [2015], images=4, quick=True, deadline_s=60.0)
-    crash = next(c for c in cells if c.schedule == "crash")
-    assert crash.ok
-    if crash.injected.get("crashes", 0):
-        assert crash.status == "aborted"
-        assert "InjectedCrash" in crash.detail
+    (crash,) = _cells("locks", "crash")
+    assert crash.injected.get("crashes") == 1
+    assert crash.status == "aborted"
+    assert "InjectedCrash" in crash.error
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, p in PROGRAMS.items() if "crash" in fault_plans_for(p))
+)
+def test_every_crash_cell_fires(name):
+    # The crash lands halfway through PE 1's fault-free op count, so it
+    # fires on every program, however short.
+    (crash,) = explore(name, faults="crash").outcomes
+    assert crash.injected.get("crashes") == 1
+    assert crash.status == "aborted", crash.error
+
+
+def test_ci_fault_matrix_statuses():
+    statuses = {
+        (name, plan): [c.status for c in _cells(name, plan, schedules=2)]
+        for name in ("dht", "locks", "collectives", "rdht")
+        for plan in fault_plans_for(PROGRAMS[name])
+    }
+    assert statuses == {
+        ("dht", "mixed"): ["identical", "identical"],
+        ("dht", "crash"): ["aborted"],
+        ("dht", "escalate"): ["aborted"],
+        ("locks", "mixed"): ["identical", "identical"],
+        ("locks", "crash"): ["aborted"],
+        ("locks", "escalate"): ["identical"],
+        ("collectives", "mixed"): ["identical", "identical"],
+        ("collectives", "crash"): ["aborted"],
+        ("collectives", "escalate"): ["identical"],
+        ("rdht", "survivable"): ["degraded", "degraded"],
+    }
+
+
+def test_plans_apply_by_program_kind():
+    assert fault_plans_for(get_program("dht")) == ("mixed", "crash", "escalate")
+    assert fault_plans_for(get_program("rdht")) == ("survivable",)
+    assert fault_plans_for(get_program("missing_quiet")) == ()
+    with pytest.raises(ValueError, match="does not apply"):
+        explore("rdht", faults="mixed")
+    with pytest.raises(ValueError, match="does not apply"):
+        explore("dht", faults="nonsense")
 
 
 def test_replay_digests_are_identical():
-    """Same target, same plan, twice: identical result digests, both
+    """Same program, same plan, twice: identical result digests, both
     matching the fault-free answer at larger virtual time.  (Elapsed
     times themselves are scheduler-dependent under concurrent writers —
     contended locks change each PE's op sequence — so the bitwise-time
     contract is tested separately on a single-writer kernel.)"""
-    from repro.chaos import _RUNNERS
-    from repro.sim.faults import FaultInjector
-
-    runner = _RUNNERS["dht"]
-    baseline = runner(4, "stampede", None, 60.0, True)
-    runs = []
-    for _ in range(2):
-        inj = FaultInjector(mixed_plan(99), 4)
-        runs.append(runner(4, "stampede", inj, 60.0, True))
-    assert runs[0][0] == runs[1][0]  # digest replays bit-exactly
-    assert runs[0][0] == baseline[0]  # and matches the fault-free answer
-    assert all(r[1] > baseline[1] for r in runs)
+    prog = get_program("dht")
+    baseline = prog.run("threaded", images=4, machine="stampede")
+    runs = [
+        prog.run("threaded", images=4, machine="stampede",
+                 faults=FaultInjector(fault_plan("mixed", 99), 4))
+        for _ in range(2)
+    ]
+    assert runs[0].digest == runs[1].digest  # digest replays bit-exactly
+    assert runs[0].digest == baseline.digest  # and matches the fault-free answer
+    assert all(r.elapsed_us > baseline.elapsed_us for r in runs)
 
 
 def test_single_writer_replay_times_are_bit_exact():
@@ -88,60 +135,64 @@ def test_single_writer_replay_times_are_bit_exact():
         )
 
     base = run(None)
-    t1 = run(mixed_plan(99))
-    t2 = run(mixed_plan(99))
+    t1 = run(fault_plan("mixed", 99))
+    t2 = run(fault_plan("mixed", 99))
     assert t1 == t2
     assert t1 > base
 
 
 def test_cell_outcome_shape():
-    runner_baseline = ("digest", 1.0)
-    out = ChaosOutcome("dht", "mixed", 1, "identical")
-    assert out.ok
-    assert not ChaosOutcome("dht", "mixed", 1, "violation").ok
-    assert runner_baseline  # plans are constructible with any seed
-    for plan_fn in (mixed_plan, crash_plan, escalate_plan):
-        assert plan_fn(7).seed == 7
+    def report(*statuses):
+        cells = [ScheduleOutcome(0, {}, "", 0, [], status=s) for s in statuses]
+        return ExploreReport("dht", False, "threaded", 4, "stampede",
+                             len(cells), {}, cells, None, [], faults="mixed")
+
+    assert report("identical", "aborted", "degraded").ok
+    assert not report("identical", "violation").ok
+    for name in FAULT_PLANS:  # plans are constructible with any seed
+        assert fault_plan(name, 7).seed == 7
+    with pytest.raises(ValueError, match="unknown fault plan"):
+        fault_plan("nonsense", 7)
 
 
 def test_run_cell_flags_unstructured_failure():
     """A failure whose root cause is a plain user exception must be a
     violation, not a clean abort."""
 
-    def bad_runner(images, machine, faults, deadline_s, quick):
+    def bad_runner(engine, *, images, machine, trace=False, faults=None):
         from repro import caf
 
         def kernel():
             raise ValueError("user bug, not an injected fault")
 
-        caf.launch(kernel, images, machine, faults=faults)
+        caf.launch(kernel, images, machine, faults=faults, engine=engine)
 
-    from repro import chaos
-
-    original = chaos._RUNNERS["dht"]
-    chaos._RUNNERS["dht"] = bad_runner
-    try:
-        cell = run_cell("dht", "mixed", mixed_plan(1), ("d", 1.0), quick=True)
-    finally:
-        chaos._RUNNERS["dht"] = original
+    prog = ExploreProgram("bad", False, 4, "raises", bad_runner)
+    cell = _fault_cell(prog, fault_plan("mixed", 1), ProgramRun("d", 1.0),
+                       images=4, machine="stampede")
     assert cell.status == "violation"
-    assert "unstructured" in cell.detail
+    assert "unstructured" in cell.error
 
 
-def test_cli_exit_codes():
-    assert main(["--targets", "locks", "--seeds", "2015", "--quick",
-                 "--no-aborts"]) == 0
-    assert main(["--images", "1"]) == 2
-    assert main(["--targets", "nonsense"]) == 2
+def test_cli_exit_codes(capsys):
+    assert main(["--program", "locks", "--faults", "mixed",
+                 "--schedules", "1"]) == 0
+    assert main(["--program", "locks", "--faults", "mixed",
+                 "--images", "1"]) == 2
+    assert main(["--program", "locks", "--faults", "survivable"]) == 2
+    assert main(["--program", "locks", "--faults", "nonsense"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_json_output(capsys):
     import json
 
-    rc = main(["--targets", "locks", "--seeds", "2015", "--quick",
-               "--no-aborts", "--json"])
+    rc = main(["--program", "locks", "--faults", "mixed", "--schedules", "1",
+               "--json"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["violations"] == 0
-    assert doc["cells"][0]["target"] == "locks"
-    assert doc["cells"][0]["status"] in ("identical", "aborted")
+    (report,) = doc["reports"]
+    assert report["program"] == "locks"
+    assert report["faults"] == "mixed"
+    assert report["outcomes"][0]["status"] in ("identical", "aborted")

@@ -1,8 +1,8 @@
 """Failed-images model: survivable crashes, degraded collectives,
 lock recovery, the replicated DHT, and engine-identical degradation.
 
-The gate this suite enforces mirrors the chaos harness's third outcome
-class: a ``survivable=True`` job that loses a PE must *complete* in
+The gate this suite enforces mirrors the ``degraded`` outcome of the
+explorer's survivable fault cells: a ``survivable=True`` job that loses a PE must *complete* in
 degraded mode — survivors observe ``STAT_FAILED_IMAGE``, collectives
 shrink to the survivor set, dead-held locks are recovered, and the
 replicated DHT loses **zero acknowledged writes** — and the degraded
@@ -20,7 +20,7 @@ import pytest
 from repro import caf
 from repro.bench.dht import ReplicatedHashTable
 from repro.engine.steps import BarrierStep, Done, alloc_array_step
-from repro.explore import RandomWalk, Scheduler, trace_digest
+from repro.explore import RandomWalk, Scheduler
 from repro.runtime.context import current
 from repro.runtime.failures import (
     DEFAULT_DETECT_US,
@@ -31,7 +31,7 @@ from repro.runtime.failures import (
 from repro.runtime.launcher import Job, JobFailure
 from repro.shmem import attach as shmem_attach
 from repro.sim.faults import FaultPlan, InjectedCrash
-from repro.trace.events import attach as trace_attach
+from repro.trace.events import attach as trace_attach, trace_digest
 
 HEAP = 1 << 15
 ELEMS = 8

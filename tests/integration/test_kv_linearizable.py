@@ -205,18 +205,18 @@ def test_reshard_histories_linearizable(schedule):
 
 
 def _p1_cell(pct_seed: int):
-    """The chaos survivable kvservice cell (seed 2015: PE 1 crashes
-    mid-stream while the bucket ring grows from 2 to 4 images) under
-    one PCT schedule; returns ``(steps, lost acked writes, dead PEs)``."""
-    from repro import chaos
-    from repro.explore import PCTStrategy, Scheduler
+    """The survivable ``kv_reshard`` corpus cell (seed 2015: PE 1
+    crashes mid-stream while the bucket ring grows from 2 to 4 images)
+    under one PCT schedule; returns ``(steps, lost acked writes, dead
+    PEs)``."""
+    from repro.explore import PCTStrategy, Scheduler, fault_plan, get_program
     from repro.sim.faults import FaultInjector
 
     sched = Scheduler(PCTStrategy(pct_seed))
-    results = chaos._run_kvservice(
-        4, "stampede", FaultInjector(chaos.survivable_crash_plan(2015), 4),
-        30.0, True, sched, 2015,
-    )
+    results = get_program("kv_reshard").run(
+        sched, images=4, machine="stampede",
+        faults=FaultInjector(fault_plan("survivable", 2015), 4),
+    ).results
     lost = [m for r in results if r is not None for m in r["lost"]]
     dead = [pe for pe, r in enumerate(results) if r is None]
     return sched.steps, lost, dead

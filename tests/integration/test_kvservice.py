@@ -336,34 +336,37 @@ def test_negative_keys_rejected():
 
 
 # ---------------------------------------------------------------------------
-# The chaos survivable gate, kvservice target
+# The survivable fault cells, kv_reshard program
 # ---------------------------------------------------------------------------
 
 
 def test_chaos_kvservice_degraded():
-    from repro.chaos import run_survivable_cell, survivable_crash_plan
+    from repro.explore import explore
 
-    out = run_survivable_cell(
-        "kvservice", survivable_crash_plan(2015), quick=True
-    )
-    assert out.status == "degraded", (out.status, out.detail)
+    (out,) = explore("kv_reshard", faults="survivable", seed=2015,
+                     schedules=1).outcomes
+    assert out.status == "degraded", (out.status, out.error)
     assert out.injected.get("crashes") == 1
 
 
 def test_chaos_kvservice_no_crash_is_identical():
-    from repro.chaos import run_survivable_cell, survivable_crash_plan
+    from repro.explore import fault_plan, get_program
+    from repro.explore.harness import _survivable_cell
 
-    out = run_survivable_cell(
-        "kvservice", survivable_crash_plan(7, at=10_000), quick=True
+    out = _survivable_cell(
+        get_program("kv_reshard"), fault_plan("survivable", 7, crash_at=10_000),
+        images=4, machine="stampede",
     )
-    assert out.status == "identical", (out.status, out.detail)
+    assert out.status == "identical", (out.status, out.error)
 
 
 def test_chaos_unknown_survivable_target():
-    from repro.chaos import run_survivable_cell, survivable_crash_plan
+    from repro.explore import explore
 
-    with pytest.raises(ValueError, match="kvservice"):
-        run_survivable_cell("nope", survivable_crash_plan(1))
+    with pytest.raises(ValueError, match="kv_reshard"):
+        explore("kv_reshard", faults="nope")
+    with pytest.raises(ValueError, match="does not apply"):
+        explore("kvservice", faults="survivable")
 
 
 # ---------------------------------------------------------------------------
