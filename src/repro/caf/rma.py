@@ -2,17 +2,17 @@
 
 This is the runtime half of the paper's Section IV-B/IV-C translation:
 contiguous runs become ``shmem_putmem``/``shmem_getmem``, strided lines
-become ``shmem_iput``/``shmem_iget``.  Payload marshalling keeps line
-chunks aligned with plan order by moving the base dimension last (plans
-enumerate lines in C order over the remaining dimensions).
+become ``shmem_iput``/``shmem_iget``.
 
 A plan executes as one batch
 (:meth:`~repro.comm.base.OneSidedLayer.execute_plan_put` /
-``execute_plan_get``): one aggregate network pricing, one scatter/gather
-through a precomputed index array, one tracer record.  Virtual
-timestamps and all stats are bit-identical to issuing the plan's calls
-one by one; that per-call loop lives in ``tests/caf/oracle.py`` as the
-reference the invariance suite compares against.
+``execute_plan_get``): one aggregate network pricing, one copy through
+the section's strided view of the target heap, one tracer record.  The
+payload stays in the selection's shape throughout; only the pricing
+follows the plan's call order.  Virtual timestamps and all stats are
+bit-identical to issuing the plan's calls one by one; that per-call
+loop lives in ``tests/caf/oracle.py`` as the reference the invariance
+suite compares against.
 
 ``stats`` is a :class:`collections.Counter` the runtime passes in; it
 records the number of *logical* underlying calls — the quantity the
@@ -26,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.caf.strided import DimSel, TransferPlan
+from repro.caf.strided import DimSel, TransferPlan, row_strides
 from repro.comm.base import BatchSpec, OneSidedLayer
 from repro.comm.heap import SymmetricArray
 
@@ -39,9 +39,12 @@ __all__ = [
 ]
 
 
-def build_spec(plan: TransferPlan, itemsize: int) -> BatchSpec | None:
-    """Compile ``plan`` into a :class:`BatchSpec` (per-element byte
-    offsets relative to the array base, in plan order).
+def build_spec(
+    plan: TransferPlan, sels: list[DimSel], shape: tuple[int, ...], itemsize: int
+) -> BatchSpec | None:
+    """Compile ``plan`` over the selection ``sels`` of an array of
+    ``shape`` into a :class:`BatchSpec`: the plan's call shape plus the
+    section's strided view, relative to the array base.
 
     Returns ``None`` for empty plans; every non-empty plan qualifies
     because planners emit uniform runs (one shared length) or uniform
@@ -49,18 +52,18 @@ def build_spec(plan: TransferPlan, itemsize: int) -> BatchSpec | None:
     """
     if plan.kind is None:
         return None
-    within = np.arange(plan.per_call, dtype=np.int64) * plan.stride
-    elems = (plan.offsets[:, None] + within[None, :]).reshape(-1)
+    rows = row_strides(shape)
+    first = sum(s.start * r for s, r in zip(sels, rows))
+    last = sum((s.start + (s.count - 1) * s.step) * r for s, r in zip(sels, rows))
     return BatchSpec(
         kind=plan.kind,
         ncalls=plan.num_calls,
         nelems_per_call=plan.per_call,
         stride=plan.stride,
-        rel_index=elems * itemsize,
-        min_elem=int(elems.min()),
-        max_elem=int(elems.max()),
-        rel_elem=elems,
-        elem_size=itemsize,
+        shape=_sel_shape(sels),
+        strides=tuple(s.step * r * itemsize for s, r in zip(sels, rows)),
+        min_elem=first,
+        max_elem=last,
     )
 
 
@@ -79,10 +82,13 @@ def _single_call(layer: OneSidedLayer, plan: TransferPlan) -> bool:
     )
 
 
-def plan_spec(layer: OneSidedLayer, plan: TransferPlan, itemsize: int) -> BatchSpec | None:
+def plan_spec(
+    layer: OneSidedLayer, plan: TransferPlan, sels: list[DimSel],
+    shape: tuple[int, ...], itemsize: int,
+) -> BatchSpec | None:
     """The :class:`BatchSpec` that executing ``plan`` on ``layer`` uses:
     None for single-call plans, which never read one."""
-    return None if _single_call(layer, plan) else build_spec(plan, itemsize)
+    return None if _single_call(layer, plan) else build_spec(plan, sels, shape, itemsize)
 
 
 def execute_put(
@@ -100,12 +106,11 @@ def execute_put(
     ``spec`` is the plan's compiled :class:`BatchSpec` (pass a cached
     one to skip recompiling); built on the fly when omitted.
     """
-    payload = np.broadcast_to(data, _sel_shape(sels))
+    payload = np.broadcast_to(np.asarray(data, dtype=handle.dtype), _sel_shape(sels))
     lines = plan.kind == "lines"
-    if lines:
-        payload = np.moveaxis(payload, plan.base_dim, -1)
-    flat = np.ascontiguousarray(payload, dtype=handle.dtype).reshape(-1)
     if _single_call(layer, plan):
+        # One run or one line: C order over the selection is call order.
+        flat = np.ascontiguousarray(payload).reshape(-1)
         if lines:
             layer.iput(
                 handle, flat, tst=plan.stride, sst=1,
@@ -115,11 +120,11 @@ def execute_put(
             layer.put(handle, flat, pe, offset=int(plan.offsets[0]))
     else:
         if spec is None:
-            spec = build_spec(plan, handle.itemsize)
+            spec = build_spec(plan, sels, handle.shape, handle.itemsize)
         if spec is not None:
-            layer.execute_plan_put(handle, flat, pe, spec)
+            layer.execute_plan_put(handle, payload, pe, spec)
     stats["iput_calls" if lines else "putmem_calls"] += plan.num_calls
-    stats["put_elems"] += int(flat.size)
+    stats["put_elems"] += int(payload.size)
 
 
 def execute_get(
@@ -134,29 +139,23 @@ def execute_get(
     """Read the selection from ``pe`` under ``plan``; returns an array
     shaped like the (unsqueezed) selection."""
     shape = _sel_shape(sels)
+    lines = plan.kind == "lines"
     if _single_call(layer, plan):
-        if plan.kind == "lines":
+        if lines:
             flat = layer.iget(
                 handle, tst=1, sst=plan.stride, nelems=plan.per_call, pe=pe,
                 offset=int(plan.offsets[0]),
             )
         else:
             flat = layer.get(handle, plan.per_call, pe, offset=int(plan.offsets[0]))
+        result = flat.reshape(shape)
     else:
         if spec is None:
-            spec = build_spec(plan, handle.itemsize)
+            spec = build_spec(plan, sels, handle.shape, handle.itemsize)
         if spec is None:  # empty selection: nothing moves
-            flat = np.empty(0, dtype=handle.dtype)
+            result = np.empty(shape, dtype=handle.dtype)
         else:
-            flat = layer.execute_plan_get(handle, pe, spec)
-    if plan.kind == "lines":
-        # Lines enumerate the base dimension last; move it back.
-        base = plan.base_dim
-        moved_shape = tuple(c for d, c in enumerate(shape) if d != base) + (shape[base],)
-        result = np.ascontiguousarray(np.moveaxis(flat.reshape(moved_shape), -1, base))
-        stats["iget_calls"] += plan.num_calls
-    else:
-        result = flat.reshape(shape)
-        stats["getmem_calls"] += plan.num_calls
+            result = layer.execute_plan_get(handle, pe, spec)
+    stats["iget_calls" if lines else "getmem_calls"] += plan.num_calls
     stats["get_elems"] += int(result.size)
     return result

@@ -470,7 +470,7 @@ class CafRuntime:
             iput_native=native,
             model_params=self._model_params(handle) if algo == "model" else None,
         )
-        entry = (sels, rshape, plan, rma.plan_spec(self.layer, plan, itemsize))
+        entry = (sels, rshape, plan, rma.plan_spec(self.layer, plan, sels, shape, itemsize))
         if cache_key is not None:
             with self._plan_cache_lock:
                 self._plan_cache[cache_key] = entry

@@ -204,7 +204,7 @@ def normalize_selection(
     return sels, tuple(result_shape)
 
 
-def _row_strides(shape: tuple[int, ...]) -> list[int]:
+def row_strides(shape: tuple[int, ...]) -> list[int]:
     """C-order element strides per dimension."""
     strides = [1] * len(shape)
     for d in range(len(shape) - 2, -1, -1):
@@ -215,7 +215,7 @@ def _row_strides(shape: tuple[int, ...]) -> list[int]:
 def selection_offsets(sels: list[DimSel], shape: tuple[int, ...]) -> np.ndarray:
     """Flat element offsets of every selected element, in C iteration
     order of the selection (test oracle; O(total elements))."""
-    strides = _row_strides(shape)
+    strides = row_strides(shape)
     offs = np.zeros(1, dtype=np.int64)
     for sel, rs in zip(sels, strides):
         line = (sel.start + np.arange(sel.count, dtype=np.int64) * sel.step) * rs
@@ -233,7 +233,7 @@ def _outer_offsets(
 ) -> np.ndarray:
     """Base offsets for every index combination over all dims except
     ``skip``, iterated in C order."""
-    strides = _row_strides(shape)
+    strides = row_strides(shape)
     offs = np.zeros(1, dtype=np.int64)
     for d, (sel, rs) in enumerate(zip(sels, strides)):
         if d == skip:
@@ -260,7 +260,7 @@ def plan_contiguous(
         total *= s.count
     if total == 0:
         return TransferPlan("contiguous")
-    strides = _row_strides(shape)
+    strides = row_strides(shape)
     d = len(sels) - 1
     # Swallow fully-selected step-1 fast dimensions.
     while d >= 0 and sels[d].count == shape[d] and sels[d].step == 1:
@@ -298,7 +298,7 @@ def plan_naive(sels: list[DimSel], shape: tuple[int, ...]) -> TransferPlan:
 def _line_plan(
     sels: list[DimSel], shape: tuple[int, ...], base: int, algorithm: str
 ) -> TransferPlan:
-    strides = _row_strides(shape)
+    strides = row_strides(shape)
     sel = sels[base]
     stride = sel.step * strides[base]
     bases = _outer_offsets(sels, shape, skip=base)

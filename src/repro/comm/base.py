@@ -48,85 +48,40 @@ def _fail_at_done(done: float) -> float:
     return done
 
 
-#: Element sizes the data plane can move via a reinterpret-cast view
-#: (uint8 plus :attr:`PEMemory._VIEW_DTYPES`); other sizes scatter
-#: through a byte-expanded index.
-_VIEWABLE_SIZES = frozenset((1, 2, 4, 8))
-
 _UNTRACED = nullcontext()  # what lock_machinery() returns without a tracer
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class BatchSpec:
     """A batch of identical RMA calls, in layer-level terms.
 
     Produced by :mod:`repro.caf.rma` from a transfer plan (every plan's
     runs share one length and its lines one count and stride, so a whole
-    plan is one spec).  ``rel_index`` holds the byte offset of every
-    transferred element *relative to the array base*, in plan order —
-    relative so a cached spec stays valid across deallocate/reallocate
-    cycles that move the array.
+    plan is one spec).  The calls price the batch; the section they move
+    is one affine view of the array's bytes — its first element
+    ``min_elem``, the selection ``shape`` and the byte ``strides`` per
+    dimension — *relative to the array base*, so a cached spec stays
+    valid across deallocate/reallocate cycles that move the array.  The
+    view enumerates elements in selection order: a payload in the
+    selection's shape lands where the plan's calls would put it.
     """
 
     kind: str  # "runs" (contiguous) | "lines" (1-D strided)
     ncalls: int  # logical library calls (len(runs) or len(lines))
     nelems_per_call: int  # run length, or line element count
     stride: int  # element stride within a line (1 for runs)
-    rel_index: np.ndarray  # int64 per-element byte offsets, plan order
-    min_elem: int  # smallest touched element index (span check)
-    max_elem: int  # largest touched element index (span check)
-    rel_elem: np.ndarray | None = None  # int64 per-element *element* offsets
-    elem_size: int = 0  # itemsize the spec was compiled for
+    shape: tuple[int, ...]  # selection shape
+    strides: tuple[int, ...]  # byte stride of each selected dimension
+    min_elem: int  # first (smallest) selected element index
+    max_elem: int  # largest selected element index (span check)
 
     def __post_init__(self) -> None:
         if self.kind not in ("runs", "lines"):
             raise ValueError(f"unknown batch kind {self.kind!r}")
-        # Lazy per-spec index caches (plain attributes on a frozen
-        # non-slots dataclass; set via object.__setattr__).
-        # Races under the GIL are benign: readers validate the memo's
-        # base offset and a lost race rebuilds an identical array.
-        object.__setattr__(self, "_abs_memo", None)
-        object.__setattr__(self, "_expanded_rel", None)
 
     @property
     def total_elems(self) -> int:
         return self.ncalls * self.nelems_per_call
-
-    def vector_index(self, byte_offset: int) -> tuple[bool, np.ndarray, int, int]:
-        """The precomputed index array for an array based at
-        ``byte_offset``, as ``(expanded, index, lo, hi)`` — the exact
-        argument set of :meth:`~repro.runtime.memory.PEMemory.scatter_at`
-        / ``gather_at``.
-
-        Memoized per base offset: symmetric arrays share one base across
-        PEs, so after the first touch this is a tuple compare plus an
-        attribute read.  ``expanded=False`` index arrays are element
-        indices into the ``elem_size`` view of the heap; unaligned bases
-        and view-less element sizes get a byte-expanded index.
-        """
-        memo = self._abs_memo
-        if memo is not None and memo[0] == byte_offset:
-            return memo[1], memo[2], memo[3], memo[4]
-        es = self.elem_size
-        if es <= 0:
-            raise ValueError("spec was built without an element size")
-        if es in _VIEWABLE_SIZES and byte_offset % es == 0 and self.rel_elem is not None:
-            index = self.rel_elem + (byte_offset // es)
-            expanded = False
-        else:
-            exp = self._expanded_rel
-            if exp is None:
-                exp = (
-                    self.rel_index[:, None]
-                    + np.arange(es, dtype=np.int64)[None, :]
-                ).reshape(-1)
-                object.__setattr__(self, "_expanded_rel", exp)
-            index = exp + byte_offset
-            expanded = True
-        lo = byte_offset + self.min_elem * es
-        hi = byte_offset + self.max_elem * es + es
-        object.__setattr__(self, "_abs_memo", (byte_offset, expanded, index, lo, hi))
-        return expanded, index, lo, hi
 
 
 class OneSidedLayer:
@@ -590,11 +545,14 @@ class OneSidedLayer:
         Equivalent to issuing ``spec.ncalls`` :meth:`put`/:meth:`iput`
         calls in plan order — same final clock, same pending-completion
         state, same target bytes, same timeline counters — but with one
-        aggregate network pricing, one target-lock acquisition, and one
-        tracer record carrying the logical call count.
+        aggregate network pricing, one assignment into the section's
+        strided view under one target-lock acquisition, and one tracer
+        record carrying the logical call count.  ``value`` is the
+        payload in selection order (any shape of ``spec.total_elems``
+        elements).
         """
         self._check_pe(pe)
-        data = self._coerce(dest, value, spec.total_elems)
+        data = np.asarray(value, dtype=dest.dtype).reshape(spec.shape)
         dest.check_span(spec.min_elem, 1)
         dest.check_span(spec.max_elem, 1)
         if data.size == 0:
@@ -609,46 +567,37 @@ class OneSidedLayer:
         timing = self._priced(ctx, self, op, pe, price, _FAIL_AT_REMOTE)
         mem = self.job.memories[pe]
         ts = timing.remote_complete
-        expanded, index, lo, hi = spec.vector_index(dest.byte_offset)
+        lo = dest.byte_offset + spec.min_elem * itemsize
+        hi = dest.byte_offset + (spec.max_elem + 1) * itemsize
+        view = (lo, spec.shape, spec.strides, dest.dtype)
         if self._eager:
-            mem.scatter_at(
-                index, data, timestamp=ts,
-                elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-            )
+            mem.scatter_at(view, data, ts, lo=lo, hi=hi)
         else:
             payload = data.copy()
-            self._deposit(
-                ctx,
-                lambda: mem.scatter_at(
-                    index, payload, timestamp=ts,
-                    elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-                ),
-            )
+            self._deposit(ctx, lambda: mem.scatter_at(view, payload, ts, lo=lo, hi=hi))
         ctx.clock.merge(timing.local_complete)
         if timing.remote_complete > self._pending[ctx.pe]:
             self._pending[ctx.pe] = timing.remote_complete
         tracer = self.job.tracer
         if tracer is not None:
             # Deferred: the tracer merges intervals at read time.
-            fp = (
-                ("@off", spec.rel_index, dest.byte_offset, itemsize)
-                if tracer.capture_sync else ()
-            )
+            fp = ("@view", *view[:3], itemsize) if tracer.capture_sync else ()
             tracer.record(
                 ctx.pe, op, pe, data.nbytes, t_start, ctx.clock.now, calls=calls,
-                addr=dest.byte_offset + spec.min_elem * itemsize, footprint=fp,
+                addr=lo, footprint=fp,
             )
 
     def execute_plan_get(
         self, src: SymmetricArray, pe: int, spec: BatchSpec
     ) -> np.ndarray:
         """Batched counterpart of a whole plan's gets; returns the
-        gathered elements as a flat array in plan order."""
+        gathered elements as one copy of the section's view, in the
+        selection's shape."""
         self._check_pe(pe)
         src.check_span(spec.min_elem, 1)
         src.check_span(spec.max_elem, 1)
         if spec.total_elems == 0:
-            return np.empty(0, dtype=src.dtype)
+            return np.empty(spec.shape, dtype=src.dtype)
         ctx = current()
         if self._decide is not None:
             self._decide(ctx, "plan_get", pe)
@@ -657,22 +606,19 @@ class OneSidedLayer:
         itemsize = src.itemsize
         price, op, calls = self._plan_pricer("get", spec, itemsize, ctx.pe, pe)
         done = self._priced(ctx, self, op, pe, price, _fail_at_done)
-        expanded, index, lo, hi = spec.vector_index(src.byte_offset)
-        raw = self.job.memories[pe].gather_at(
-            index, elem_size=itemsize, lo=lo, hi=hi, expanded=expanded
-        )
+        lo = src.byte_offset + spec.min_elem * itemsize
+        hi = src.byte_offset + (spec.max_elem + 1) * itemsize
+        view = (lo, spec.shape, spec.strides, src.dtype)
+        out = self.job.memories[pe].gather_at(view, lo=lo, hi=hi)
         ctx.clock.merge(done)
         tracer = self.job.tracer
         if tracer is not None:
-            fp = (
-                ("@off", spec.rel_index, src.byte_offset, itemsize)
-                if tracer.capture_sync else ()
-            )
+            fp = ("@view", *view[:3], itemsize) if tracer.capture_sync else ()
             tracer.record(
-                ctx.pe, op, pe, raw.size, t_start, ctx.clock.now, calls=calls,
-                addr=src.byte_offset + spec.min_elem * itemsize, footprint=fp,
+                ctx.pe, op, pe, out.nbytes, t_start, ctx.clock.now, calls=calls,
+                addr=lo, footprint=fp,
             )
-        return raw.view(src.dtype)
+        return out
 
     # ------------------------------------------------------------------
     # Ordering / completion

@@ -162,17 +162,13 @@ class PEMemory:
         if nelems == 0:
             return
         self._check_strided(offset, stride_bytes, elem_size, nelems)
+        if stride_bytes >= elem_size:
+            dst, key = self._elements(offset, stride_bytes, elem_size, nelems), ...
+            raw = raw.view(dst.dtype)
+        else:
+            dst, key = self._buf, self._overlapping(offset, stride_bytes, elem_size, nelems)
         with self._cond:
-            if stride_bytes >= elem_size:
-                dst = np.lib.stride_tricks.as_strided(
-                    self._buf[offset:],
-                    shape=(nelems, elem_size),
-                    strides=(stride_bytes, 1),
-                )
-                dst[:, :] = raw.reshape(nelems, elem_size)
-            else:
-                idx = (offset + np.arange(nelems) * stride_bytes)[:, None] + np.arange(elem_size)[None, :]
-                self._buf[idx.ravel()] = raw
+            dst[key] = raw
             self._note_write(timestamp)
             self._cond.notify_all()
 
@@ -188,14 +184,22 @@ class PEMemory:
         self._check_strided(offset, stride_bytes, elem_size, nelems, kind="read")
         with self._cond:
             if stride_bytes >= elem_size:
-                src = np.lib.stride_tricks.as_strided(
-                    self._buf[offset:],
-                    shape=(nelems, elem_size),
-                    strides=(stride_bytes, 1),
-                )
-                return np.ascontiguousarray(src).reshape(-1)
-            idx = (offset + np.arange(nelems) * stride_bytes)[:, None] + np.arange(elem_size)[None, :]
-            return self._buf[idx.ravel()].copy()
+                src = self._elements(offset, stride_bytes, elem_size, nelems)
+                return src.copy().view(np.uint8)
+            return self._buf[self._overlapping(offset, stride_bytes, elem_size, nelems)]
+
+    def _elements(self, offset: int, stride_bytes: int, elem_size: int, nelems: int) -> np.ndarray:
+        """The ``nelems`` strided elements as one view of the heap, each
+        an opaque ``elem_size``-byte item (copies move the bytes as they
+        are, NaN payloads included, at any alignment)."""
+        return np.ndarray((nelems,), (np.void, elem_size), self._buf, offset, (stride_bytes,))
+
+    @staticmethod
+    def _overlapping(offset: int, stride_bytes: int, elem_size: int, nelems: int) -> np.ndarray:
+        """Per-byte heap index of a strided access whose elements overlap
+        or run backwards (``stride_bytes < elem_size``), element order kept."""
+        starts = offset + np.arange(nelems) * stride_bytes
+        return (starts[:, None] + np.arange(elem_size)[None, :]).ravel()
 
     _VIEW_DTYPES = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -268,66 +272,78 @@ class PEMemory:
 
     def scatter_at(
         self,
-        index: np.ndarray,
+        where: tuple | np.ndarray,
         data: np.ndarray,
         timestamp: float,
         *,
-        elem_size: int,
         lo: int,
         hi: int,
+        elem_size: int = 0,
         expanded: bool = False,
     ) -> None:
-        """Scatter a whole transfer plan as one fancy-indexed copy, under
-        a **single** lock acquisition and one ``notify_all``.
+        """Store a whole transfer plan with one copy, under a **single**
+        lock acquisition and one ``notify_all``.
 
-        For callers that hold a *precomputed* index array (a cached
-        :class:`~repro.comm.base.BatchSpec`): ``index`` is already in
-        the granularity the copy needs — element indices into the
-        ``elem_size``-wide view of the heap (``expanded=False``; byte
-        offsets when ``elem_size == 1``), or per-byte offsets
-        (``expanded=True``, the path for unaligned bases and view-less
-        element sizes).  ``[lo, hi)`` are the absolute byte bounds of
-        the access, also precomputed, so the range check is O(1) — no
-        per-call min/max/divmod over the index array.
+        ``where`` is the plan's section as one strided view of the heap,
+        ``(offset, shape, byte_strides, dtype)`` (a cached
+        :class:`~repro.comm.base.BatchSpec` placed at its array's base):
+        ``data``, in the view's shape, is assigned into
+        ``np.ndarray(shape, dtype, heap, offset, byte_strides)`` — any
+        dtype, any alignment, no index array.  An int64 ``where`` is the
+        per-element index form kept for :meth:`write_at`: element
+        indices into the ``elem_size``-wide view of the heap
+        (``expanded=False``; byte offsets when ``elem_size == 1``), or
+        per-byte offsets (``expanded=True``).  ``[lo, hi)`` are the
+        absolute byte bounds of the access, precomputed, so the range
+        check is O(1).
         """
         if lo < 0 or hi > self.nbytes:
             raise IndexError(
                 f"batched access [{lo}, {hi}) outside heap of {self.nbytes} bytes"
             )
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        if type(where) is tuple:
+            dst, key = np.ndarray(where[1], where[3], self._buf, where[0], where[2]), ...
+        else:
+            dst, key = self._indexed(elem_size, expanded), where
+            data = np.ascontiguousarray(data).view(dst.dtype).reshape(-1)
         with self._cond:
-            if expanded or elem_size == 1:
-                self._buf[index] = raw
-            else:
-                dt = self._VIEW_DTYPES[elem_size]
-                usable = self.nbytes - self.nbytes % elem_size
-                self._buf[:usable].view(dt)[index] = raw.view(dt)
+            dst[key] = data
             self._note_write(timestamp)
             self._cond.notify_all()
 
     def gather_at(
         self,
-        index: np.ndarray,
+        where: tuple | np.ndarray,
         *,
-        elem_size: int,
         lo: int,
         hi: int,
+        elem_size: int = 0,
         expanded: bool = False,
     ) -> np.ndarray:
-        """Gather a whole transfer plan into a contiguous ``uint8`` copy
-        under one lock; see :meth:`scatter_at` for the ``index``/bounds
-        contract."""
+        """Copy a whole transfer plan out under one lock: a view
+        ``where`` comes back as one copy of the view, already in its
+        shape and dtype; the index form as a contiguous ``uint8`` copy.
+        See :meth:`scatter_at` for the ``where``/bounds contract."""
         if lo < 0 or hi > self.nbytes:
             raise IndexError(
                 f"batched access [{lo}, {hi}) outside heap of {self.nbytes} bytes"
             )
+        if type(where) is tuple:
+            src = np.ndarray(where[1], where[3], self._buf, where[0], where[2])
+            with self._cond:
+                return src.copy()
+        src = self._indexed(elem_size, expanded)
         with self._cond:
             # Fancy indexing already yields a fresh contiguous copy.
-            if expanded or elem_size == 1:
-                return self._buf[index]
-            dt = self._VIEW_DTYPES[elem_size]
-            usable = self.nbytes - self.nbytes % elem_size
-            return self._buf[:usable].view(dt)[index].view(np.uint8).reshape(-1)
+            return src[where].view(np.uint8).reshape(-1)
+
+    def _indexed(self, elem_size: int, expanded: bool) -> np.ndarray:
+        """The heap as the array an index-form ``where`` indexes: bytes,
+        or ``elem_size``-wide unsigned words."""
+        if expanded or elem_size == 1:
+            return self._buf
+        usable = self.nbytes - self.nbytes % elem_size
+        return self._buf[:usable].view(self._VIEW_DTYPES[elem_size])
 
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """Copy ``nbytes`` starting at ``offset`` out of the heap."""

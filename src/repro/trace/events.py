@@ -143,6 +143,15 @@ def offsets_footprint(offsets: np.ndarray, elem_size: int) -> tuple:
     return tuple((int(a), int(b - a)) for a, b in zip(starts, stops))
 
 
+def view_offsets(base: int, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """Byte offset of every element of the strided view that starts at
+    ``base`` with ``shape`` and byte ``strides``, in C order."""
+    offs = np.full(1, base, dtype=np.int64)
+    for count, stride in zip(shape, strides):
+        offs = (offs[:, None] + np.arange(count, dtype=np.int64) * stride).reshape(-1)
+    return offs
+
+
 def resolve_footprint(fp: tuple) -> tuple:
     """Materialize a deferred footprint descriptor.
 
@@ -153,9 +162,9 @@ def resolve_footprint(fp: tuple) -> tuple:
 
     * ``("@str", addr, stride_bytes, elem_size, nelems)`` — a 1-D
       strided access (:func:`strided_footprint` arguments);
-    * ``("@off", rel_index, base, elem_size)`` — a batched plan access,
-      ``rel_index`` being the spec's immutable relative byte-offset
-      array and ``base`` the array's base byte offset.
+    * ``("@view", base, shape, byte_strides, elem_size)`` — a batched
+      plan access: the section's strided view of the target heap, its
+      first element at byte ``base`` (:func:`view_offsets`).
 
     Resolution happens once, at trace *read* time (the ``events``
     property), so ``capture_sync=True`` no longer taxes the data path.
@@ -166,8 +175,8 @@ def resolve_footprint(fp: tuple) -> tuple:
     tag = fp[0]
     if tag == "@str":
         return strided_footprint(fp[1], fp[2], fp[3], fp[4])
-    if tag == "@off":
-        return offsets_footprint(fp[1] + fp[2], fp[3])
+    if tag == "@view":
+        return offsets_footprint(view_offsets(fp[1], fp[2], fp[3]), fp[4])
     raise ValueError(f"unknown deferred footprint tag {tag!r}")
 
 

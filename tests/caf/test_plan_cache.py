@@ -1,6 +1,7 @@
 """The runtime's LRU transfer-plan cache: hits, bypasses, keying,
 eviction, and safety across deallocate/reallocate cycles."""
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,9 +163,8 @@ def test_dealloc_realloc_never_serves_stale_plan(profile):
 @pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem"])
 def test_single_call_entries_hold_no_spec(profile):
     """Single-call plans go straight to put/get/iput/iget, so their cache
-    entries compile no BatchSpec (for a whole-array transfer that would be
-    an index of every element); multi-call plans still batch through
-    ``build_spec``'s index."""
+    entries compile no BatchSpec; multi-call plans still batch through
+    ``build_spec``'s strided view."""
 
     def kernel():
         me = caf.this_image()
@@ -179,7 +179,7 @@ def test_single_call_entries_hold_no_spec(profile):
             got = a.on(2)[...], a.on(2)[1:6:2, 5]
         caf.sync_all()
         rt = current_runtime()
-        return got, [entry[2:] for entry in rt._plan_cache.values()]
+        return got, list(rt._plan_cache.values())
 
     (whole, column), entries = caf.launch(kernel, num_images=2, profile=profile)[0]
     want = np.full((6, 8), 7, dtype=np.int64)
@@ -188,12 +188,12 @@ def test_single_call_entries_hold_no_spec(profile):
     assert np.array_equal(whole, want)
     assert np.array_equal(column, want[1:6:2, 5])
     assert len(entries) == 4
-    for plan, spec in entries:
+    for sels, _, plan, spec in entries:
         if plan.num_calls == 1:
             assert spec is None
         else:
-            assert spec.rel_index.tolist() == build_spec(plan, 8).rel_index.tolist()
-    assert sum(spec is None for _, spec in entries) == (3 if profile == "cray-shmem" else 1)
+            assert astuple(spec) == astuple(build_spec(plan, sels, (6, 8), 8))
+    assert sum(spec is None for *_, spec in entries) == (3 if profile == "cray-shmem" else 1)
 
 
 def test_non_native_single_line_keeps_its_spec():
@@ -204,5 +204,7 @@ def test_non_native_single_line_keeps_its_spec():
     assert (plan.kind, plan.num_calls, plan.per_call) == ("lines", 1, 3)
     native, looped = (SimpleNamespace(profile=SimpleNamespace(iput_native=flag))
                       for flag in (True, False))
-    assert plan_spec(native, plan, 8) is None
-    assert plan_spec(looped, plan, 8).rel_index.tolist() == build_spec(plan, 8).rel_index.tolist()
+    assert plan_spec(native, plan, sels, (6, 8), 8) is None
+    spec = plan_spec(looped, plan, sels, (6, 8), 8)
+    assert astuple(spec) == astuple(build_spec(plan, sels, (6, 8), 8))
+    assert (spec.min_elem, spec.shape, spec.strides) == (3, (3, 1), (2 * 8 * 8, 8))

@@ -21,6 +21,7 @@ from repro.caf.strided import (
     selection_offsets,
 )
 from repro.sim.netmodel import CRAY_SHMEM, NetworkModel
+from repro.trace.events import view_offsets
 
 
 def sels_for(shape, key):
@@ -323,7 +324,8 @@ def per_line_cost(plan, *, elem_size, o_call_us, bandwidth_Bpus, iput_native, ga
 def test_array_plans_are_the_per_call_plans(data, native):
     """Every planner's offsets array is the per-call plan: read-only
     int64 (a cached plan is shared by every PE thread), compiled by
-    ``build_spec`` into the same element order, priced identically."""
+    ``build_spec`` into a strided view whose elements, taken in plan
+    order (line axis last), are the plan's, priced identically."""
     shape, key = data
     sels, _ = normalize_selection(shape, key)
     algos = [a for a in ALGORITHMS if a != "contiguous"]
@@ -334,12 +336,16 @@ def test_array_plans_are_the_per_call_plans(data, native):
         assert plan.offsets.dtype == np.int64
         assert not plan.offsets.flags.writeable
         assert plan.num_calls == len(plan.runs) + len(plan.lines)
-        spec = build_spec(plan, 8)
+        spec = build_spec(plan, sels, shape, 8)
         want = plan_offsets(plan, sels)
         if spec is None:
             assert want.size == 0
         else:
-            assert spec.rel_elem.tolist() == want.tolist()
+            elems = view_offsets(spec.min_elem * 8, spec.shape, spec.strides).reshape(spec.shape) // 8
+            if plan.kind == "lines":
+                elems = np.moveaxis(elems, plan.base_dim, -1)
+            assert elems.reshape(-1).tolist() == want.tolist()
+            assert (spec.min_elem, spec.max_elem) == (want.min(), want.max())
         got = estimate_plan_cost(plan, iput_native=native, **MODEL_PARAMS)
         assert got.hex() == per_line_cost(plan, iput_native=native, **MODEL_PARAMS).hex()
 

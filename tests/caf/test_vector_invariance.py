@@ -33,8 +33,8 @@ from tests.caf.oracle import (
 def _section_kernel(shape, key, dtype_name):
     """Image 1 writes deterministic patterns to the section on image 2
     and reads them back, alternating between two same-shape coarrays —
-    both accesses hit one cached ``BatchSpec``, so its single-slot index
-    memo is rebuilt for the other base offset every time."""
+    both accesses hit one cached ``BatchSpec``, whose strided view is
+    placed at a different array base every time."""
     dtype = np.dtype(dtype_name)
     a = caf.coarray(shape, dtype)
     b = caf.coarray(shape, dtype)
@@ -65,7 +65,7 @@ def sections(draw):
         stop = draw(st.integers(start, d))  # may be empty
         step = draw(st.integers(1, 3))
         key.append(slice(start, stop, step))
-    # c16 has no reinterpret-cast view: the byte-expanded index branch.
+    # c16: 16-byte elements, wider than any unsigned-integer word.
     dtype_name = draw(st.sampled_from(["u1", "i2", "f4", "f8", "i8", "c16"]))
     policy = draw(st.sampled_from(["naive", "2dim", "alldim", "lastdim", "auto"]))
     return shape, tuple(key), dtype_name, policy
@@ -73,8 +73,8 @@ def sections(draw):
 
 # Every draw is a small plan (at most 9**3 = 729 elements, nearly all
 # under 512).  The pinned examples are multi-call plans of 1 < n < 512
-# elements: an aligned-view index and a byte-expanded one (line plans
-# and per-element run plans each).
+# elements over 8- and 16-byte elements (line plans and per-element run
+# plans each).
 @settings(
     max_examples=25,
     deadline=None,

@@ -1,12 +1,11 @@
-"""Unit tests for the precompiled-plan heap primitives.
+"""Unit tests for the int64-index form of the batched heap primitives.
 
-``scatter_at``/``gather_at`` are the functional half of the vectorized
-data plane: one fancy-indexed copy per whole transfer plan, with the
-index array and byte bounds computed once by the caller (a cached
-``BatchSpec``).  They must byte-match the per-offset ``write_at``/
-``read_at`` primitives on both index representations — element indices
-into the ``elem_size`` view (``expanded=False``) and per-byte offsets
-(``expanded=True``).
+Planned sections reach ``scatter_at``/``gather_at`` as a strided view
+(``tests/comm/test_plan_view.py``); their index form remains for
+callers that hold per-element offsets.  It must byte-match the
+per-offset ``write_at``/``read_at`` primitives on both index
+representations — element indices into the ``elem_size`` view
+(``expanded=False``) and per-byte offsets (``expanded=True``).
 """
 
 import numpy as np
